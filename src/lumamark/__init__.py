@@ -6,7 +6,7 @@ and recovered non-blind by comparing luminance signs against the original.
 """
 
 from . import attacks, cli, codec, colorspace, metrics, pixmap, selection
-from .attacks import AttackSpec, CropRect, compress_attack, crop_attack, grayscale_attack
+from .attacks import CropRect, compress_attack, crop_attack, grayscale_attack
 from .codec import EmbedParams, embed, extract
 from .colorspace import YcbcrImage, rgb_to_ycbcr, roundtrip_error, ycbcr_to_rgb
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     TruncatedPayload,
     WrongDimensions,
 )
-from .metrics import MetricsReport, decide, psnr, similarity
+from .metrics import decide, psnr, similarity
 from .pixmap import (
     RgbImage,
     WatermarkBitmap,
@@ -42,7 +42,6 @@ from .selection import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackSpec",
     "BlockRef",
     "CropRect",
     "DimensionMismatch",
@@ -52,7 +51,6 @@ __all__ = [
     "InsufficientCandidates",
     "LumamarkError",
     "MalformedHeader",
-    "MetricsReport",
     "RectOutOfBounds",
     "RgbImage",
     "SelectionPlan",

@@ -7,8 +7,7 @@ setting, and transformed back. It is bit-reproducible across platforms,
 which a real encoder would not be.
 """
 
-from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -39,20 +38,6 @@ class CropRect(NamedTuple):
     y: int
     w: int
     h: int
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    kind: Literal["crop", "grayscale", "compress"]
-    crop: CropRect | None = None
-    quality: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "crop" and self.crop is None:
-            raise ValueError("crop attack needs a kept rectangle")
-        if self.kind == "compress":
-            if self.quality is None or not 0.0 < self.quality <= 1.0:
-                raise ValueError("compress attack needs quality in (0, 1]")
 
 
 def crop_attack(img: RgbImage, keep: CropRect) -> RgbImage:
@@ -111,16 +96,6 @@ def compress_attack(img: RgbImage, quality: float) -> RgbImage:
     steps = quant_steps(quality)
     planes = [_quantize_plane(p, steps) for p in (ycc.y, ycc.cb, ycc.cr)]
     return ycbcr_to_rgb(YcbcrImage(*planes))
-
-
-def apply(img: RgbImage, spec: AttackSpec) -> RgbImage:
-    if spec.kind == "crop":
-        return crop_attack(img, spec.crop)
-    if spec.kind == "grayscale":
-        return grayscale_attack(img)
-    if spec.kind == "compress":
-        return compress_attack(img, spec.quality)
-    raise ValueError(f"unknown attack kind {spec.kind!r}")
 
 
 def center_keep_rect(width: int, height: int) -> CropRect:

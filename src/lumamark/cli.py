@@ -65,6 +65,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -119,7 +123,7 @@ def cmd_extract(args) -> int:
     _check_paths(inputs, [args.output])
     original = _read_image(args.original)
     watermarked = _read_image(args.watermarked)
-    params = codec.EmbedParams(alpha=args.alpha, delta=args.delta)
+    params = codec.EmbedParams(delta=args.delta)
     plan = None
     if args.use_plan:
         plan = selection.parse_plan(Path(args.use_plan).read_text("ascii"))
@@ -136,12 +140,11 @@ def cmd_attack(args) -> int:
     _check_paths([args.input], [args.output])
     img = _read_image(args.input)
     if args.crop is not None:
-        spec = attacks.AttackSpec(kind="crop", crop=args.crop)
+        attacked = attacks.crop_attack(img, args.crop)
     elif args.grayscale:
-        spec = attacks.AttackSpec(kind="grayscale")
+        attacked = attacks.grayscale_attack(img)
     else:
-        spec = attacks.AttackSpec(kind="compress", quality=args.compress_quality)
-    attacked = attacks.apply(img, spec)
+        attacked = attacks.compress_attack(img, args.compress_quality)
     _write_atomic(Path(args.output), pixmap.write_rgb_image(attacked))
     return 0
 
@@ -206,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("original", help="original cover image (P6)")
     p.add_argument("watermarked", help="watermarked image (P6)")
     p.add_argument("output", help="extracted watermark to write (P4)")
-    p.add_argument("--alpha", type=_alpha_arg, default=codec.DEFAULT_ALPHA)
     p.add_argument("--delta", type=float, default=selection.DEFAULT_DELTA)
     p.add_argument("--reference", metavar="PBM", help="print sigma against this watermark")
     p.add_argument("--use-plan", metavar="PATH", help="load a selection plan instead of recomputing")

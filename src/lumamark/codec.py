@@ -62,15 +62,13 @@ def _check_plan_fits(plan: SelectionPlan, width: int, height: int) -> None:
         )
 
 
-def apply_watermark_to_y(
-    y: np.ndarray, plan: SelectionPlan, watermark: WatermarkBitmap, alpha: int
-) -> np.ndarray:
-    """Return a copy of the Y plane with +alpha/-alpha applied per bit."""
-    ys, xs = embedded_pixel_coords(plan)
-    out = y.copy()
-    signs = np.where(watermark.bits.reshape(-1) == 1, 1.0, -1.0)
-    out[ys, xs] += alpha * signs
-    return out
+def _carrier_ycc(img: RgbImage, ys: np.ndarray, xs: np.ndarray) -> YcbcrImage:
+    """YCbCr of the carrier pixels only, as a 1x1024 strip in bit order.
+
+    The colour transform is per pixel, so each strip value equals the
+    whole-image conversion at that pixel.
+    """
+    return rgb_to_ycbcr(RgbImage(img.pixels[ys, xs][np.newaxis]))
 
 
 def embed(
@@ -79,19 +77,23 @@ def embed(
     params: EmbedParams = EmbedParams(),
     plan: SelectionPlan | None = None,
 ) -> RgbImage:
-    """Embed the watermark and reconstruct 8-bit RGB.
+    """Embed the watermark and reconstruct 8-bit RGB at the carriers.
 
-    Chroma planes and all pixels outside the plan's 16 blocks pass through
-    untouched; only reconstruction rounding/clamping stands between the
-    modified Y plane and the output bytes.
+    Only the 1024 carrier pixels go through YCbCr and back; every other pixel
+    is copied. That is the same output as rebuilding the whole image, because
+    the colour round trip reproduces every unmodified 8-bit triple exactly.
     """
-    ycc = rgb_to_ycbcr(original)
     if plan is None:
-        plan = select_blocks(ycc, params.delta)
+        plan = select_blocks(rgb_to_ycbcr(original), params.delta)
     else:
         _check_plan_fits(plan, original.width, original.height)
-    y = apply_watermark_to_y(ycc.y, plan, watermark, params.alpha)
-    return ycbcr_to_rgb(YcbcrImage(y, ycc.cb, ycc.cr))
+    ys, xs = embedded_pixel_coords(plan)
+    strip = _carrier_ycc(original, ys, xs)
+    signs = np.where(watermark.bits.reshape(1, -1) == 1, 1.0, -1.0)
+    marked = ycbcr_to_rgb(YcbcrImage(strip.y + params.alpha * signs, strip.cb, strip.cr))
+    pixels = original.pixels.copy()
+    pixels[ys, xs] = marked.pixels[0]
+    return RgbImage(pixels)
 
 
 def extract(
@@ -100,19 +102,21 @@ def extract(
     params: EmbedParams = EmbedParams(),
     plan: SelectionPlan | None = None,
 ) -> WatermarkBitmap:
-    """Recover the watermark by comparing carrier-pixel luminance signs."""
+    """Recover the watermark by comparing carrier-pixel luminance signs.
+
+    Both images are read at the carriers only; the whole original is
+    converted just when the plan has to be recomputed.
+    """
     if (original.width, original.height) != (watermarked.width, watermarked.height):
         raise DimensionMismatch(
             f"original is {original.width}x{original.height}, "
             f"watermarked is {watermarked.width}x{watermarked.height}"
         )
-    ycc_orig = rgb_to_ycbcr(original)
-    ycc_marked = rgb_to_ycbcr(watermarked)
     if plan is None:
-        plan = select_blocks(ycc_orig, params.delta)
+        plan = select_blocks(rgb_to_ycbcr(original), params.delta)
     else:
         _check_plan_fits(plan, original.width, original.height)
     ys, xs = embedded_pixel_coords(plan)
-    diff = ycc_marked.y[ys, xs] - ycc_orig.y[ys, xs]
+    diff = _carrier_ycc(watermarked, ys, xs).y - _carrier_ycc(original, ys, xs).y
     bits = (diff >= 0).astype(np.uint8).reshape(32, 32)
     return WatermarkBitmap(bits)

@@ -1,30 +1,10 @@
 """Imperceptibility (PSNR over Y) and extraction fidelity (similarity sigma)."""
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .colorspace import rgb_to_ycbcr
 from .errors import DimensionMismatch
 from .pixmap import RgbImage, WatermarkBitmap, WATERMARK_BITS
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    psnr_db: float  # math.inf when the images are identical
-    sigma: float
-    matched: bool
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError("sigma must lie in [0, 1]")
-        if self.matched != decide(self.sigma):
-            raise ValueError("matched must equal (sigma > 0.5)")
-
-    @classmethod
-    def from_measurements(cls, psnr_db: float, sigma: float) -> "MetricsReport":
-        return cls(psnr_db=psnr_db, sigma=sigma, matched=decide(sigma))
 
 
 def psnr(reference: RgbImage, test: RgbImage) -> float:
@@ -58,13 +38,3 @@ def decide(sigma: float) -> bool:
         raise ValueError("sigma must lie in [0, 1]")
     return sigma > 0.5
 
-
-def evaluate(
-    reference_img: RgbImage,
-    test_img: RgbImage,
-    reference_wm: WatermarkBitmap,
-    extracted_wm: WatermarkBitmap,
-) -> MetricsReport:
-    """Bundle PSNR and similarity for one (image, watermark) comparison."""
-    s = similarity(reference_wm, extracted_wm)
-    return MetricsReport.from_measurements(psnr(reference_img, test_img), s)

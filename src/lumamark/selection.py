@@ -5,7 +5,9 @@ square spiral outward from the grid center, whose log-average luminance is
 at least the log-average luminance of the entire image.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -68,11 +70,20 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
     return width // BLOCK_SIZE, height // BLOCK_SIZE
 
 
-def _block_log_means(y: np.ndarray, delta: float) -> np.ndarray:
-    """(grid_rows, grid_cols) matrix of per-block mean log(delta + Y)."""
+def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+    """One pass of log(delta + Y): the (grid_rows, grid_cols) candidate mask
+    and the whole-image mean log."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     grid_cols, grid_rows = partition_grid(y.shape[1], y.shape[0])
-    logs = np.log(delta + y[: grid_rows * BLOCK_SIZE, : grid_cols * BLOCK_SIZE])
-    return logs.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE).mean(axis=(1, 3))
+    logs = np.log(delta + y)
+    image_log_mean = float(logs.mean())
+    block_log_means = (
+        logs[: grid_rows * BLOCK_SIZE, : grid_cols * BLOCK_SIZE]
+        .reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
+        .mean(axis=(1, 3))
+    )
+    return block_log_means >= image_log_mean - TIE_TOLERANCE, image_log_mean
 
 
 def candidate_blocks(img: YcbcrImage, delta: float = DEFAULT_DELTA) -> set[BlockRef]:
@@ -82,12 +93,30 @@ def candidate_blocks(img: YcbcrImage, delta: float = DEFAULT_DELTA) -> set[Block
     and columns that belong to no block. The comparison happens in the log
     domain with TIE_TOLERANCE of slack.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    image_log_mean = float(np.log(delta + img.y).mean())
-    block_log_means = _block_log_means(img.y, delta)
-    rows, cols = np.nonzero(block_log_means >= image_log_mean - TIE_TOLERANCE)
+    is_candidate, _ = _log_stats(img.y, delta)
+    rows, cols = np.nonzero(is_candidate)
     return {BlockRef(int(c), int(r)) for r, c in zip(rows, cols)}
+
+
+def _spiral(grid_cols: int, grid_rows: int) -> Iterator[BlockRef]:
+    col, row = grid_cols // 2, grid_rows // 2
+    yield BlockRef(col, row)
+    remaining = grid_cols * grid_rows - 1
+    directions = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    run, leg = 1, 0
+    while remaining:
+        dc, dr = directions[leg % 4]
+        for _ in range(run):
+            col += dc
+            row += dr
+            if 0 <= col < grid_cols and 0 <= row < grid_rows:
+                yield BlockRef(col, row)
+                remaining -= 1
+                if not remaining:
+                    return
+        leg += 1
+        if leg % 2 == 0:
+            run += 1
 
 
 def spiral_order(grid_cols: int, grid_rows: int) -> list[BlockRef]:
@@ -99,45 +128,25 @@ def spiral_order(grid_cols: int, grid_rows: int) -> list[BlockRef]:
     """
     if grid_cols < 1 or grid_rows < 1:
         raise ValueError("grid must be at least 1x1")
-    total = grid_cols * grid_rows
-    col, row = grid_cols // 2, grid_rows // 2
-    out = [BlockRef(col, row)]
-    directions = ((1, 0), (0, 1), (-1, 0), (0, -1))
-    run, leg = 1, 0
-    while len(out) < total:
-        dc, dr = directions[leg % 4]
-        for _ in range(run):
-            col += dc
-            row += dr
-            if 0 <= col < grid_cols and 0 <= row < grid_rows:
-                out.append(BlockRef(col, row))
-                if len(out) == total:
-                    return out
-        leg += 1
-        if leg % 2 == 0:
-            run += 1
-    return out
+    return list(_spiral(grid_cols, grid_rows))
 
 
 def select_blocks(img: YcbcrImage, delta: float = DEFAULT_DELTA) -> SelectionPlan:
-    """First 16 candidate blocks in spiral order, as a reproducible plan."""
+    """First 16 candidate blocks in spiral order, as a reproducible plan.
+
+    The spiral walk stops at the 16th candidate.
+    """
     grid_cols, grid_rows = partition_grid(img.width, img.height)
-    candidates = candidate_blocks(img, delta)
-    if len(candidates) < PLAN_BLOCKS:
-        raise InsufficientCandidates(
-            f"{len(candidates)} candidate blocks, need {PLAN_BLOCKS}"
-        )
-    chosen = []
-    for ref in spiral_order(grid_cols, grid_rows):
-        if ref in candidates:
-            chosen.append(ref)
-            if len(chosen) == PLAN_BLOCKS:
-                break
+    is_candidate, image_log_mean = _log_stats(img.y, delta)
+    count = int(is_candidate.sum())
+    if count < PLAN_BLOCKS:
+        raise InsufficientCandidates(f"{count} candidate blocks, need {PLAN_BLOCKS}")
+    walk = (ref for ref in _spiral(grid_cols, grid_rows) if is_candidate[ref.row, ref.col])
     return SelectionPlan(
-        blocks=tuple(chosen),
+        blocks=tuple(islice(walk, PLAN_BLOCKS)),
         grid_cols=grid_cols,
         grid_rows=grid_rows,
-        image_log_avg=log_average_luminance(img.y, delta),
+        image_log_avg=float(np.exp(image_log_mean)),
         delta=delta,
     )
 

@@ -2,17 +2,19 @@
 
 The oracles deliberately avoid the library's own code paths: the spiral
 oracle walks the lattice with a visited-set turning rule instead of run
-lengths, and the candidate oracle recomputes every log-average with plain
-math over Python loops.
+lengths, the candidate oracle recomputes every log-average with plain
+math over Python loops, and the dense codec oracle converts and rebuilds
+whole images where the library touches only the carrier pixels.
 """
 
 import math
 
 import numpy as np
 
-from lumamark.colorspace import YcbcrImage
+from lumamark.codec import EmbedParams, embedded_pixel_coords
+from lumamark.colorspace import YcbcrImage, rgb_to_ycbcr, ycbcr_to_rgb
 from lumamark.pixmap import RgbImage, WatermarkBitmap
-from lumamark.selection import TIE_TOLERANCE
+from lumamark.selection import TIE_TOLERANCE, select_blocks
 
 
 def gray_image(value: int, width: int = 512, height: int = 512) -> RgbImage:
@@ -87,3 +89,31 @@ def candidate_oracle(y: np.ndarray, delta: float) -> set[tuple[int, int]]:
             if log_mean_oracle(block, delta) >= image_mean - TIE_TOLERANCE:
                 out.add((col, row))
     return out
+
+
+def dense_embed(
+    original: RgbImage, watermark: WatermarkBitmap, params: EmbedParams = EmbedParams(), plan=None
+) -> RgbImage:
+    """Reference embed: convert the whole image, add +-alpha to the carriers'
+    Y, rebuild every pixel from YCbCr."""
+    ycc = rgb_to_ycbcr(original)
+    if plan is None:
+        plan = select_blocks(ycc, params.delta)
+    ys, xs = embedded_pixel_coords(plan)
+    y = ycc.y.copy()
+    y[ys, xs] += params.alpha * np.where(watermark.bits.reshape(-1) == 1, 1.0, -1.0)
+    return ycbcr_to_rgb(YcbcrImage(y, ycc.cb, ycc.cr))
+
+
+def dense_extract(
+    original: RgbImage, watermarked: RgbImage, params: EmbedParams = EmbedParams(), plan=None
+) -> WatermarkBitmap:
+    """Reference extract: convert both whole images, read the sign of the Y
+    difference at the carriers (zero decodes white)."""
+    ycc_orig = rgb_to_ycbcr(original)
+    ycc_marked = rgb_to_ycbcr(watermarked)
+    if plan is None:
+        plan = select_blocks(ycc_orig, params.delta)
+    ys, xs = embedded_pixel_coords(plan)
+    diff = ycc_marked.y[ys, xs] - ycc_orig.y[ys, xs]
+    return WatermarkBitmap((diff >= 0).astype(np.uint8).reshape(32, 32))

@@ -3,9 +3,7 @@ import pytest
 
 from lumamark.attacks import (
     LUMA_QUANT_TABLE,
-    AttackSpec,
     CropRect,
-    apply,
     center_keep_rect,
     compress_attack,
     crop_attack,
@@ -116,27 +114,3 @@ class TestCompressAttack:
         assert steps[7, 4] == pytest.approx(0.02 * 112)  # large entries keep the scale
         assert quant_steps(0.75)[0, 0] == pytest.approx(0.52 * 16)
         assert np.all(quant_steps(0.001) == pytest.approx(LUMA_QUANT_TABLE * ((1 - 0.001) * 2 + 0.02)))
-
-
-class TestApply:
-    def test_dispatch_grayscale_identity_on_gray(self):
-        img = gray_image(99, 16, 16)
-        assert apply(img, AttackSpec(kind="grayscale")) == img
-
-    def test_dispatch_full_crop_identity(self, corpus):
-        img = corpus["soft_gradient"]
-        spec = AttackSpec(kind="crop", crop=CropRect(0, 0, img.width, img.height))
-        assert apply(img, spec) == img
-
-    def test_dispatch_compress_near_identity(self, corpus):
-        img = corpus["smooth_blobs"]
-        out = apply(img, AttackSpec(kind="compress", quality=1.0))
-        assert psnr(img, out) > 45.0
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            AttackSpec(kind="crop")
-        with pytest.raises(ValueError):
-            AttackSpec(kind="compress", quality=0.0)
-        with pytest.raises(ValueError):
-            AttackSpec(kind="compress")

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -65,6 +66,19 @@ class TestEmbedCommand:
         with pytest.raises(SystemExit) as exc:
             main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"), "--alpha", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
+    def test_outputs_get_the_mode_the_umask_allows(self, paths, tmp_path, umask):
+        marked, plan = tmp_path / "m.ppm", tmp_path / "plan.txt"
+        previous = os.umask(umask)
+        try:
+            code = main(["embed", paths["img"], paths["logo"], str(marked),
+                         "--dump-plan", str(plan)])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for path in (marked, plan):
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestExtractCommand:

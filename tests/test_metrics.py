@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumamark.errors import DimensionMismatch
-from lumamark.metrics import MetricsReport, decide, evaluate, psnr, similarity
+from lumamark.metrics import decide, psnr, similarity
 from lumamark.pixmap import RgbImage, WatermarkBitmap
 
 from support import gray_image, random_bitmap
@@ -99,26 +99,3 @@ class TestDecide:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             decide(1.5)
-
-
-class TestMetricsReport:
-    def test_from_measurements_sets_matched(self):
-        r = MetricsReport.from_measurements(62.7, 0.9)
-        assert r.matched is True
-        r = MetricsReport.from_measurements(30.0, 0.5)
-        assert r.matched is False
-
-    def test_rejects_inconsistent_matched(self):
-        with pytest.raises(ValueError):
-            MetricsReport(psnr_db=60.0, sigma=0.9, matched=False)
-
-    def test_rejects_sigma_out_of_range(self):
-        with pytest.raises(ValueError):
-            MetricsReport(psnr_db=60.0, sigma=1.2, matched=True)
-
-    def test_evaluate_bundles_both_measurements(self, logo):
-        img = gray_image(100, 64, 64)
-        bumped = _gray_with_bumped_pixels(100, 16, 4, 64, 64)
-        report = evaluate(img, bumped, logo, logo.complement())
-        assert report.psnr_db == pytest.approx(psnr(img, bumped))
-        assert report.sigma == 0.0 and report.matched is False
