@@ -14,7 +14,6 @@ import tempfile
 from pathlib import Path
 
 from . import attacks, codec, metrics, pixmap, selection
-from .colorspace import rgb_to_ycbcr
 from .errors import (
     DimensionMismatch,
     EmptyRegion,
@@ -104,7 +103,7 @@ def cmd_embed(args) -> int:
     original = _read_image(args.original)
     watermark = _read_watermark(args.watermark)
     params = codec.EmbedParams(alpha=args.alpha, delta=args.delta)
-    plan = selection.select_blocks(rgb_to_ycbcr(original), params.delta)
+    plan = selection.select_blocks(original, params.delta)
     marked = codec.embed(original, watermark, params, plan=plan)
     _write_atomic(Path(args.output), pixmap.write_rgb_image(marked))
     if args.dump_plan:
@@ -170,7 +169,7 @@ def cmd_report(args) -> int:
     original = _read_image(args.original)
     watermark = _read_watermark(args.watermark)
     params = codec.EmbedParams(alpha=args.alpha, delta=args.delta)
-    plan = selection.select_blocks(rgb_to_ycbcr(original), params.delta)
+    plan = selection.select_blocks(original, params.delta)
     marked = codec.embed(original, watermark, params, plan=plan)
     keep = attacks.center_keep_rect(original.width, original.height)
     grid = [

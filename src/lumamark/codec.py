@@ -82,15 +82,33 @@ def embed(
     Only the 1024 carrier pixels go through YCbCr and back; every other pixel
     is copied. That is the same output as rebuilding the whole image, because
     the colour round trip reproduces every unmodified 8-bit triple exactly.
+
+    Issues a RuntimeWarning when rounding and clamping to [0, 255] leave
+    carriers whose realised luminance change has the wrong sign for their
+    bit (a white bit with dY < 0, a black bit with dY >= 0): extraction
+    reads those carriers wrong even from the unattacked image.
     """
     if plan is None:
-        plan = select_blocks(rgb_to_ycbcr(original), params.delta)
+        plan = select_blocks(original, params.delta)
     else:
         _check_plan_fits(plan, original.width, original.height)
     ys, xs = embedded_pixel_coords(plan)
     strip = _carrier_ycc(original, ys, xs)
-    signs = np.where(watermark.bits.reshape(1, -1) == 1, 1.0, -1.0)
+    white = watermark.bits.reshape(1, -1) == 1
+    signs = np.where(white, 1.0, -1.0)
     marked = ycbcr_to_rgb(YcbcrImage(strip.y + params.alpha * signs, strip.cb, strip.cr))
+    # The same strip arithmetic extract uses, so this counts exactly the
+    # carriers that decode wrong.
+    realised = rgb_to_ycbcr(marked).y - strip.y
+    wrong = int(np.count_nonzero((realised >= 0) != white))
+    if wrong:
+        warnings.warn(
+            f"{wrong} of {white.size} carriers cannot carry their bit: after rounding "
+            "and clamping to [0, 255] their luminance change has the wrong sign, so "
+            "extraction reads them wrong",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     pixels = original.pixels.copy()
     pixels[ys, xs] = marked.pixels[0]
     return RgbImage(pixels)
@@ -104,8 +122,8 @@ def extract(
 ) -> WatermarkBitmap:
     """Recover the watermark by comparing carrier-pixel luminance signs.
 
-    Both images are read at the carriers only; the whole original is
-    converted just when the plan has to be recomputed.
+    Both images are read at the carriers only; the original's whole
+    luminance is read just when the plan has to be recomputed.
     """
     if (original.width, original.height) != (watermarked.width, watermarked.height):
         raise DimensionMismatch(
@@ -113,7 +131,7 @@ def extract(
             f"watermarked is {watermarked.width}x{watermarked.height}"
         )
     if plan is None:
-        plan = select_blocks(rgb_to_ycbcr(original), params.delta)
+        plan = select_blocks(original, params.delta)
     else:
         _check_plan_fits(plan, original.width, original.height)
     ys, xs = embedded_pixel_coords(plan)

@@ -76,6 +76,19 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
+def luminance(pixels: np.ndarray) -> np.ndarray:
+    """The float64 Y plane of an (h, w, 3) uint8 or signed-int channel array.
+
+    Builds no chroma and copies no planes, so whole-image statistics pay for
+    Y alone. It agrees with ``rgb_to_ycbcr(img).y`` to within a few ulp, not
+    bit for bit (a matrix-vector product rounds differently from the 3x3
+    matrix product), so code whose rounding could flip on last-ulp noise
+    keeps using ``rgb_to_ycbcr``. Y is linear: the luminance of a channel
+    difference is the difference of the two luminances.
+    """
+    return pixels @ RGB_TO_YCC[0]
+
+
 def rgb_to_ycbcr(img: RgbImage) -> YcbcrImage:
     """Apply the forward matrix per pixel in full real precision."""
     rgb = img.pixels.astype(np.float64)

@@ -2,7 +2,9 @@
 
 import math
 
-from .colorspace import rgb_to_ycbcr
+import numpy as np
+
+from .colorspace import luminance
 from .errors import DimensionMismatch
 from .pixmap import RgbImage, WatermarkBitmap, WATERMARK_BITS
 
@@ -17,9 +19,10 @@ def psnr(reference: RgbImage, test: RgbImage) -> float:
             f"reference is {reference.width}x{reference.height}, "
             f"test is {test.width}x{test.height}"
         )
-    y_ref = rgb_to_ycbcr(reference).y
-    y_test = rgb_to_ycbcr(test).y
-    ssd = float(((y_ref - y_test) ** 2).sum())
+    # Y is linear, so the luminance of the channel difference is
+    # Y_ref - Y_test, taken in one pass and antisymmetric to the last bit.
+    dy = luminance(np.subtract(reference.pixels, test.pixels, dtype=np.int16))
+    ssd = float((dy**2).sum())
     if ssd == 0.0:
         return math.inf
     n = reference.width * reference.height

@@ -12,8 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .colorspace import YcbcrImage
+from .colorspace import YcbcrImage, luminance
 from .errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
+from .pixmap import RgbImage
 
 BLOCK_SIZE = 8
 PLAN_BLOCKS = 16
@@ -76,7 +77,8 @@ def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid_cols, grid_rows = partition_grid(y.shape[1], y.shape[0])
-    logs = np.log(delta + y)
+    logs = np.add(y, delta)
+    np.log(logs, out=logs)
     image_log_mean = float(logs.mean())
     block_log_means = (
         logs[: grid_rows * BLOCK_SIZE, : grid_cols * BLOCK_SIZE]
@@ -131,13 +133,16 @@ def spiral_order(grid_cols: int, grid_rows: int) -> list[BlockRef]:
     return list(_spiral(grid_cols, grid_rows))
 
 
-def select_blocks(img: YcbcrImage, delta: float = DEFAULT_DELTA) -> SelectionPlan:
+def select_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> SelectionPlan:
     """First 16 candidate blocks in spiral order, as a reproducible plan.
 
-    The spiral walk stops at the 16th candidate.
+    An RgbImage is read through ``luminance`` alone, without building chroma;
+    a YcbcrImage through its Y plane. The spiral walk stops at the 16th
+    candidate.
     """
     grid_cols, grid_rows = partition_grid(img.width, img.height)
-    is_candidate, image_log_mean = _log_stats(img.y, delta)
+    y = luminance(img.pixels) if isinstance(img, RgbImage) else img.y
+    is_candidate, image_log_mean = _log_stats(y, delta)
     count = int(is_candidate.sum())
     if count < PLAN_BLOCKS:
         raise InsufficientCandidates(f"{count} candidate blocks, need {PLAN_BLOCKS}")

@@ -4,10 +4,14 @@ The oracles deliberately avoid the library's own code paths: the spiral
 oracle walks the lattice with a visited-set turning rule instead of run
 lengths, the candidate oracle recomputes every log-average with plain
 math over Python loops, and the dense codec oracle converts and rebuilds
-whole images where the library touches only the carrier pixels.
+whole images where the library touches only the carrier pixels. The dense
+PSNR oracle converts both whole images and subtracts their Y planes, where
+the library takes the luminance of the channel difference.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +19,16 @@ from lumamark.codec import EmbedParams, embedded_pixel_coords
 from lumamark.colorspace import YcbcrImage, rgb_to_ycbcr, ycbcr_to_rgb
 from lumamark.pixmap import RgbImage, WatermarkBitmap
 from lumamark.selection import TIE_TOLERANCE, select_blocks
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the checkout's src/ first on PYTHONPATH, so a
+    child interpreter imports this lumamark without an install."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def gray_image(value: int, width: int = 512, height: int = 512) -> RgbImage:
@@ -117,3 +131,15 @@ def dense_extract(
     ys, xs = embedded_pixel_coords(plan)
     diff = ycc_marked.y[ys, xs] - ycc_orig.y[ys, xs]
     return WatermarkBitmap((diff >= 0).astype(np.uint8).reshape(32, 32))
+
+
+def dense_psnr(reference: RgbImage, test: RgbImage) -> float:
+    """Reference PSNR: convert both whole images through all three planes and
+    sum the squared differences of their Y planes."""
+    y_ref = rgb_to_ycbcr(reference).y
+    y_test = rgb_to_ycbcr(test).y
+    ssd = float(((y_ref - y_test) ** 2).sum())
+    if ssd == 0.0:
+        return math.inf
+    n = reference.width * reference.height
+    return 10.0 * math.log10(255.0**2 * n / ssd)

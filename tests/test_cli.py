@@ -14,7 +14,7 @@ from lumamark.pixmap import (
 )
 from lumamark.selection import parse_plan
 
-from support import gray_image
+from support import gray_image, subprocess_env
 
 
 @pytest.fixture
@@ -211,6 +211,7 @@ class TestConsoleEntry:
         out = tmp_path / "m.ppm"
         result = subprocess.run(
             [sys.executable, "-m", "lumamark", "embed", paths["img"], paths["logo"], str(out)],
+            env=subprocess_env(),
             capture_output=True,
             text=True,
         )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from lumamark.attacks import compress_attack
 from lumamark.codec import EmbedParams, embed, embedded_pixel_coords, extract
 from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.errors import DimensionMismatch, InsufficientCandidates
+from lumamark.metrics import similarity
 from lumamark.pixmap import WatermarkBitmap
 from lumamark.selection import select_blocks
 
@@ -98,6 +101,22 @@ class TestEmbed:
     def test_deterministic_output(self, corpus, logo):
         img = corpus["smooth_blobs"]
         assert embed(img, logo) == embed(img, logo)
+
+    def test_clamped_carriers_warn_with_the_count_that_decodes_wrong(self, logo):
+        # Black bits cannot push Y below 0: on an all-black image every black
+        # carrier clamps back to a zero difference, which decodes white.
+        img = gray_image(0, 64, 64)
+        with pytest.warns(RuntimeWarning, match=r"^697 of 1024 carriers") as record:
+            marked = embed(img, logo)
+        assert len(record) == 1
+        assert marked == dense_embed(img, logo)
+        assert similarity(logo, extract(img, marked)) == (1024 - 697) / 1024
+
+    def test_corpus_embeds_without_warning(self, corpus, logo):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for img in corpus.values():
+                embed(img, logo)
 
     def test_insufficient_candidates_propagates(self, logo):
         with pytest.raises(InsufficientCandidates):

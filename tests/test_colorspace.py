@@ -3,6 +3,7 @@ import pytest
 
 from lumamark.colorspace import (
     YcbcrImage,
+    luminance,
     rgb_to_ycbcr,
     round_half_away,
     roundtrip_error,
@@ -53,6 +54,14 @@ class TestForward:
     def test_no_clamping_or_rounding(self):
         ycc = rgb_to_ycbcr(_one_pixel(0, 255, 0))
         assert ycc.cb[0, 0] < 0  # chroma goes negative, untouched
+
+    def test_luminance_matches_y_plane_within_ulps(self, corpus):
+        rng = np.random.default_rng(987654321)
+        sample = RgbImage(rng.integers(0, 256, size=(1000, 1024, 3), dtype=np.uint8))
+        for img in (sample, *corpus.values()):
+            y = luminance(img.pixels)
+            assert y.dtype == np.float64 and y.shape == (img.height, img.width)
+            assert np.abs(y - rgb_to_ycbcr(img).y).max() <= 1e-12
 
 
 class TestInverse:

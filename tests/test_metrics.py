@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumamark.attacks import compress_attack
 from lumamark.errors import DimensionMismatch
 from lumamark.metrics import decide, psnr, similarity
 from lumamark.pixmap import RgbImage, WatermarkBitmap
 
-from support import gray_image, random_bitmap
+from support import dense_psnr, gray_image, random_bitmap, random_image
 
 
 def _gray_with_bumped_pixels(value, count, bump, width=512, height=512):
@@ -52,6 +53,28 @@ class TestPsnr:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             psnr(gray_image(1, 8, 8), gray_image(1, 8, 9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 90),
+        st.integers(1, 90),
+        st.sampled_from([0, 1, 3, 255]),
+    )
+    def test_matches_dense_oracle_on_random_pairs(self, seed, width, height, spread):
+        # spread 0 makes identical pairs, 255 unrelated ones.
+        rng = np.random.default_rng(seed)
+        a = random_image(rng, width, height)
+        noise = rng.integers(-spread, spread + 1, size=a.pixels.shape)
+        b = RgbImage(np.clip(a.pixels.astype(np.int16) + noise, 0, 255).astype(np.uint8))
+        assert psnr(a, b) == pytest.approx(dense_psnr(a, b), rel=0, abs=1e-9)
+        assert psnr(a, b) == psnr(b, a)
+
+    def test_matches_dense_oracle_on_compressed_corpus(self, corpus):
+        for img in corpus.values():
+            for quality in (1.0, 0.75, 0.5):
+                attacked = compress_attack(img, quality)
+                assert psnr(img, attacked) == pytest.approx(dense_psnr(img, attacked), rel=0, abs=1e-9)
 
 
 class TestSimilarity:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
+from lumamark.pixmap import RgbImage
 from lumamark.selection import (
     DEFAULT_DELTA,
     BlockRef,
@@ -20,6 +22,23 @@ from lumamark.selection import (
 )
 
 from support import candidate_oracle, log_avg_oracle, spiral_oracle, ycc_from_y
+
+
+def _test_pixels(kind: str, seed: int, width: int, height: int) -> np.ndarray:
+    """Random noise, one gray level, or a palette of a few colours laid out
+    at random or periodically (periodic layouts tie blocks with the image)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    if kind == "gray":
+        return np.full((height, width, 3), rng.integers(0, 256), dtype=np.uint8)
+    palette = rng.integers(0, 256, size=(int(rng.integers(2, 5)), 3), dtype=np.uint8)
+    if kind == "levels":
+        index = rng.integers(0, len(palette), size=(height, width))
+    else:
+        yy, xx = np.mgrid[0:height, 0:width]
+        index = (xx + yy) % len(palette)
+    return palette[index]
 
 
 class TestLogAverageLuminance:
@@ -167,8 +186,6 @@ class TestSelectBlocks:
             select_blocks(ycc_from_y(y))
 
     def test_all_chosen_blocks_satisfy_candidate_predicate(self, corpus):
-        from lumamark.colorspace import rgb_to_ycbcr
-
         for img in corpus.values():
             ycc = rgb_to_ycbcr(img)
             plan = select_blocks(ycc)
@@ -176,8 +193,6 @@ class TestSelectBlocks:
             assert all((b.col, b.row) in cands for b in plan.blocks)
 
     def test_chosen_blocks_appear_in_spiral_order(self, corpus):
-        from lumamark.colorspace import rgb_to_ycbcr
-
         for img in corpus.values():
             plan = select_blocks(rgb_to_ycbcr(img))
             order = {ref: i for i, ref in enumerate(spiral_order(plan.grid_cols, plan.grid_rows))}
@@ -194,6 +209,26 @@ class TestSelectBlocks:
     def test_too_small_image(self):
         with pytest.raises(ImageTooSmall):
             select_blocks(ycc_from_y(np.full((4, 4), 9.0)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["random", "gray", "levels", "periodic"]),
+        st.integers(0, 2**31 - 1),
+        st.integers(32, 140),
+        st.integers(32, 140),
+    )
+    def test_rgb_input_selects_as_its_ycbcr(self, kind, seed, width, height):
+        img = RgbImage(_test_pixels(kind, seed, width, height))
+        try:
+            expected = select_blocks(rgb_to_ycbcr(img))
+        except InsufficientCandidates:
+            with pytest.raises(InsufficientCandidates):
+                select_blocks(img)
+            return
+        got = select_blocks(img)
+        assert got.blocks == expected.blocks
+        assert (got.grid_cols, got.grid_rows) == (expected.grid_cols, expected.grid_rows)
+        assert got.image_log_avg == pytest.approx(expected.image_log_avg, rel=1e-12)
 
 
 class TestPlanSerialization:
