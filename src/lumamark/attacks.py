@@ -4,7 +4,8 @@ The compression attack is a JPEG-style quantization pipeline, not a JPEG
 codec: every full 8x8 block of every Y/Cb/Cr plane is DCT-transformed,
 quantized against the standard luminance table scaled by the quality
 setting, and transformed back. It is bit-reproducible across platforms,
-which a real encoder would not be.
+which a real encoder would not be. It runs over strips of whole block
+rows, so each strip's planes stay in cache.
 """
 
 from typing import NamedTuple
@@ -12,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .colorspace import YcbcrImage, rgb_to_ycbcr, round_half_away, ycbcr_to_rgb
+from .colorspace import STRIP_ROWS, pixels_to_ycc, round_half_away, ycc_to_pixels
 from .errors import RectOutOfBounds
 from .pixmap import RgbImage
 from .selection import BLOCK_SIZE
@@ -54,9 +55,9 @@ def crop_attack(img: RgbImage, keep: CropRect) -> RgbImage:
 
 def grayscale_attack(img: RgbImage) -> RgbImage:
     """Replace each pixel with its rounded luminance; Y changes by rounding only."""
-    rgb = img.pixels.astype(np.float64)
-    g = rgb[:, :, 0] * 0.299 + rgb[:, :, 1] * 0.587 + rgb[:, :, 2] * 0.114
-    g = np.clip(round_half_away(g), 0, 255).astype(np.uint8)
+    px = img.pixels
+    g = px[:, :, 0] * 0.299 + px[:, :, 1] * 0.587 + px[:, :, 2] * 0.114
+    g = np.clip(round_half_away(g), 0, 255, out=g).astype(np.uint8)
     return RgbImage(np.stack((g, g, g), axis=-1))
 
 
@@ -66,36 +67,41 @@ def quant_steps(quality: float) -> np.ndarray:
     return np.maximum(1.0, scale * LUMA_QUANT_TABLE)
 
 
-def _quantize_plane(plane: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    rows = (plane.shape[0] // BLOCK_SIZE) * BLOCK_SIZE
-    cols = (plane.shape[1] // BLOCK_SIZE) * BLOCK_SIZE
-    if rows == 0 or cols == 0:
-        return plane.copy()
-    blocks = (
-        plane[:rows, :cols]
-        .reshape(rows // BLOCK_SIZE, BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE)
-        .transpose(0, 2, 1, 3)
-    )
-    coeffs = dctn(blocks, type=2, norm="ortho", axes=(2, 3))
-    coeffs = round_half_away(coeffs / steps) * steps
-    restored = idctn(coeffs, type=2, norm="ortho", axes=(2, 3))
-    out = plane.copy()
-    out[:rows, :cols] = restored.transpose(0, 2, 1, 3).reshape(rows, cols)
-    return out
-
-
 def compress_attack(img: RgbImage, quality: float) -> RgbImage:
     """Degrade like a lossy encoder would: blockwise DCT quantization.
 
     All three planes share the luminance table; remainder pixels outside the
-    8x8 grid pass through unchanged.
+    8x8 grid pass through unchanged. Each strip of whole block rows is
+    converted once, transformed by one DCT over all three planes, quantized
+    and converted back. Copying the remainder instead of converting it gives
+    the same bytes, because the colour round trip reproduces every 8-bit
+    triple.
     """
     if not 0.0 < quality <= 1.0:
         raise ValueError("quality must lie in (0, 1]")
-    ycc = rgb_to_ycbcr(img)
-    steps = quant_steps(quality)
-    planes = [_quantize_plane(p, steps) for p in (ycc.y, ycc.cb, ycc.cr)]
-    return ycbcr_to_rgb(YcbcrImage(*planes))
+    pixels = img.pixels
+    rows = (img.height // BLOCK_SIZE) * BLOCK_SIZE
+    cols = (img.width // BLOCK_SIZE) * BLOCK_SIZE
+    out = pixels.copy()
+    if rows == 0 or cols == 0:
+        return RgbImage(out)
+    # steps[u, v] laid out as the (u, block column, v, plane) axes of a strip,
+    # so the in-place quantization runs over contiguous rows.
+    steps = np.broadcast_to(
+        quant_steps(quality)[:, np.newaxis, :, np.newaxis],
+        (BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE, 3),
+    ).copy()
+    for top in range(0, rows, STRIP_ROWS):
+        bottom = min(top + STRIP_ROWS, rows)
+        ycc = pixels_to_ycc(pixels[top:bottom, :cols])
+        blocks = ycc.reshape(-1, BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE, 3)
+        coeffs = dctn(blocks, type=2, norm="ortho", axes=(1, 3))
+        coeffs /= steps
+        coeffs = round_half_away(coeffs)
+        coeffs *= steps
+        restored = idctn(coeffs, type=2, norm="ortho", axes=(1, 3))
+        out[top:bottom, :cols] = ycc_to_pixels(restored.reshape(bottom - top, cols, 3))
+    return RgbImage(out)
 
 
 def center_keep_rect(width: int, height: int) -> CropRect:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .colorspace import luminance
+from .colorspace import STRIP_ROWS, luminance
 from .errors import DimensionMismatch
 from .pixmap import RgbImage, WatermarkBitmap, WATERMARK_BITS
 
@@ -20,9 +20,13 @@ def psnr(reference: RgbImage, test: RgbImage) -> float:
             f"test is {test.width}x{test.height}"
         )
     # Y is linear, so the luminance of the channel difference is
-    # Y_ref - Y_test, taken in one pass and antisymmetric to the last bit.
-    dy = luminance(np.subtract(reference.pixels, test.pixels, dtype=np.int16))
-    ssd = float((dy**2).sum())
+    # Y_ref - Y_test, antisymmetric to the last bit. Row strips keep the
+    # int16 difference and its Y in cache.
+    ssd = 0.0
+    for top in range(0, reference.height, STRIP_ROWS):
+        rows = slice(top, top + STRIP_ROWS)
+        dy = luminance(np.subtract(reference.pixels[rows], test.pixels[rows], dtype=np.int16))
+        ssd += float(np.square(dy, out=dy).sum())
     if ssd == 0.0:
         return math.inf
     n = reference.width * reference.height

@@ -6,7 +6,9 @@ lengths, the candidate oracle recomputes every log-average with plain
 math over Python loops, and the dense codec oracle converts and rebuilds
 whole images where the library touches only the carrier pixels. The dense
 PSNR oracle converts both whole images and subtracts their Y planes, where
-the library takes the luminance of the channel difference.
+the library takes the luminance of the channel difference strip by strip.
+The dense compression oracle converts whole images and transforms each
+plane on its own, where the library fuses the three planes per row strip.
 """
 
 import math
@@ -14,11 +16,13 @@ import os
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import dctn, idctn
 
+from lumamark.attacks import quant_steps
 from lumamark.codec import EmbedParams, embedded_pixel_coords
 from lumamark.colorspace import YcbcrImage, rgb_to_ycbcr, ycbcr_to_rgb
 from lumamark.pixmap import RgbImage, WatermarkBitmap
-from lumamark.selection import TIE_TOLERANCE, select_blocks
+from lumamark.selection import BLOCK_SIZE, TIE_TOLERANCE, select_blocks
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,3 +147,32 @@ def dense_psnr(reference: RgbImage, test: RgbImage) -> float:
         return math.inf
     n = reference.width * reference.height
     return 10.0 * math.log10(255.0**2 * n / ssd)
+
+
+def _dense_quantize_plane(plane: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    rows = (plane.shape[0] // BLOCK_SIZE) * BLOCK_SIZE
+    cols = (plane.shape[1] // BLOCK_SIZE) * BLOCK_SIZE
+    if rows == 0 or cols == 0:
+        return plane.copy()
+    blocks = (
+        plane[:rows, :cols]
+        .reshape(rows // BLOCK_SIZE, BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE)
+        .transpose(0, 2, 1, 3)
+    )
+    coeffs = dctn(blocks, type=2, norm="ortho", axes=(2, 3)) / steps
+    coeffs = np.trunc(coeffs + np.copysign(0.5, coeffs)) * steps
+    restored = idctn(coeffs, type=2, norm="ortho", axes=(2, 3))
+    out = plane.copy()
+    out[:rows, :cols] = restored.transpose(0, 2, 1, 3).reshape(rows, cols)
+    return out
+
+
+def dense_compress_attack(img: RgbImage, quality: float) -> RgbImage:
+    """Reference compression: convert the whole image, DCT-quantize each
+    plane's full 8x8 blocks separately (rounding halves away from zero with
+    its own two-temporary formula), rebuild every pixel from YCbCr
+    (remainder pixels go through the colour round trip unchanged)."""
+    ycc = rgb_to_ycbcr(img)
+    steps = quant_steps(quality)
+    planes = [_dense_quantize_plane(p, steps) for p in (ycc.y, ycc.cb, ycc.cr)]
+    return ycbcr_to_rgb(YcbcrImage(*planes))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumamark.attacks import (
     LUMA_QUANT_TABLE,
@@ -15,7 +17,7 @@ from lumamark.errors import RectOutOfBounds
 from lumamark.metrics import psnr
 from lumamark.pixmap import RgbImage
 
-from support import gray_image
+from support import dense_compress_attack, gray_image
 
 QUALITY_LADDER = (1.0, 0.9, 0.75, 0.5, 0.25)
 
@@ -114,3 +116,35 @@ class TestCompressAttack:
         assert steps[7, 4] == pytest.approx(0.02 * 112)  # large entries keep the scale
         assert quant_steps(0.75)[0, 0] == pytest.approx(0.52 * 16)
         assert np.all(quant_steps(0.001) == pytest.approx(LUMA_QUANT_TABLE * ((1 - 0.001) * 2 + 0.02)))
+
+
+class TestCompressDenseOracle:
+    """The strip-wise fused attack against whole-image, per-plane DCT."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        width=st.integers(1, 150),
+        height=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "flat", "few_levels"]),
+        quality=st.sampled_from([1.0, 0.9, 0.75, 0.5, 0.25, 0.02]),
+    )
+    def test_same_bytes_as_dense(self, width, height, seed, kind, quality):
+        # 1-150 px gives sizes under one block, remainder rows and columns,
+        # and a partial last strip.
+        rng = np.random.default_rng(seed)
+        shape = (height, width, 3)
+        if kind == "random":
+            pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        elif kind == "flat":
+            pixels = np.broadcast_to(rng.integers(0, 256, size=3, dtype=np.uint8), shape).copy()
+        else:
+            levels = rng.integers(0, 256, size=3, dtype=np.uint8)
+            pixels = levels[rng.integers(0, 3, size=shape)]
+        img = RgbImage(pixels)
+        assert compress_attack(img, quality) == dense_compress_attack(img, quality)
+
+    def test_same_bytes_as_dense_on_corpus(self, corpus):
+        for img in corpus.values():
+            for quality in QUALITY_LADDER:
+                assert compress_attack(img, quality) == dense_compress_attack(img, quality)

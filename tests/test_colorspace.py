@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lumamark.colorspace import (
+    RGB_TO_YCC,
+    STRIP_ROWS,
     YcbcrImage,
     luminance,
     rgb_to_ycbcr,
@@ -62,6 +64,14 @@ class TestForward:
             y = luminance(img.pixels)
             assert y.dtype == np.float64 and y.shape == (img.height, img.width)
             assert np.abs(y - rgb_to_ycbcr(img).y).max() <= 1e-12
+
+    @pytest.mark.parametrize("height", [1, STRIP_ROWS - 1, STRIP_ROWS, 3 * STRIP_ROWS + 5])
+    def test_luminance_strips_equal_one_product(self, height):
+        # Strip-wise, the result is bit for bit the single whole-array product.
+        rng = np.random.default_rng(height)
+        for dtype, lo in ((np.uint8, 0), (np.int16, -255)):
+            pixels = rng.integers(lo, 256, size=(height, 77, 3)).astype(dtype)
+            assert np.array_equal(luminance(pixels), pixels @ RGB_TO_YCC[0])
 
 
 class TestInverse:
