@@ -9,21 +9,22 @@ near the center are skipped.
 
 import numpy as np
 
-from lumamark import candidate_blocks, log_average_luminance, rgb_to_ycbcr, select_blocks
+from lumamark import candidate_blocks, log_average_luminance, select_blocks
+from lumamark.colorspace import luminance
 from lumamark.selection import spiral_order
 from lumamark.testimages import corpus_image
 
 
 def main():
     image = corpus_image("fine_texture")
-    ycc = rgb_to_ycbcr(image)
+    y = luminance(image.pixels)
 
-    image_avg = log_average_luminance(ycc.y)
+    image_avg = log_average_luminance(y)
     print(f"whole-image log-average luminance: {image_avg:.3f}")
-    print(f"plain mean luminance (for contrast): {ycc.y.mean():.3f}\n")
+    print(f"plain mean luminance (for contrast): {y.mean():.3f}\n")
 
-    candidates = candidate_blocks(ycc)
-    plan = select_blocks(ycc)
+    candidates = candidate_blocks(image)
+    plan = select_blocks(image)
     print(f"grid: {plan.grid_cols}x{plan.grid_rows} blocks of 8x8")
     print(f"candidate blocks at or above the image average: {len(candidates)}")
     print(f"chosen carriers: {[(b.col, b.row) for b in plan.blocks]}\n")
@@ -46,7 +47,7 @@ def main():
     # per-block statistics around the dark pocket
     print("\nsample block log-averages (row 32):")
     for col in range(28, 36):
-        block = ycc.y[32 * 8 : 33 * 8, col * 8 : (col + 1) * 8]
+        block = y[32 * 8 : 33 * 8, col * 8 : (col + 1) * 8]
         avg = log_average_luminance(block)
         flag = "candidate" if avg >= image_avg else "below average"
         print(f"  block ({col},32): {avg:8.3f}  {flag}")

@@ -8,7 +8,6 @@ and recovered non-blind by comparing luminance signs against the original.
 from . import attacks, cli, codec, colorspace, metrics, pixmap, selection
 from .attacks import CropRect, compress_attack, crop_attack, grayscale_attack
 from .codec import EmbedParams, embed, extract
-from .colorspace import YcbcrImage, rgb_to_ycbcr, roundtrip_error, ycbcr_to_rgb
 from .errors import (
     DimensionMismatch,
     EmptyRegion,
@@ -57,7 +56,6 @@ __all__ = [
     "TruncatedPayload",
     "WatermarkBitmap",
     "WrongDimensions",
-    "YcbcrImage",
     "attacks",
     "candidate_blocks",
     "cli",
@@ -76,13 +74,10 @@ __all__ = [
     "psnr",
     "read_rgb_image",
     "read_watermark",
-    "rgb_to_ycbcr",
-    "roundtrip_error",
     "select_blocks",
     "selection",
     "similarity",
     "spiral_order",
     "write_rgb_image",
     "write_watermark",
-    "ycbcr_to_rgb",
 ]

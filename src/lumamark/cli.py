@@ -42,6 +42,13 @@ def _alpha_arg(text: str) -> int:
     return value
 
 
+def _delta_arg(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("delta must be finite and positive")
+    return value
+
+
 def _quality_arg(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("watermark", help="32x32 watermark (P1/P4)")
     p.add_argument("output", help="watermarked image to write (P6)")
     p.add_argument("--alpha", type=_alpha_arg, default=codec.DEFAULT_ALPHA)
-    p.add_argument("--delta", type=float, default=selection.DEFAULT_DELTA)
+    p.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
     p.add_argument("--dump-plan", metavar="PATH", help="also write the selection plan")
     p.set_defaults(func=cmd_embed)
 
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("original", help="original cover image (P6)")
     p.add_argument("watermarked", help="watermarked image (P6)")
     p.add_argument("output", help="extracted watermark to write (P4)")
-    p.add_argument("--delta", type=float, default=selection.DEFAULT_DELTA)
+    p.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
     p.add_argument("--reference", metavar="PBM", help="print sigma against this watermark")
     p.add_argument("--use-plan", metavar="PATH", help="load a selection plan instead of recomputing")
     p.set_defaults(func=cmd_extract)
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("original", help="cover image (P6)")
     p.add_argument("watermark", help="32x32 watermark (P1/P4)")
     p.add_argument("--alpha", type=_alpha_arg, default=codec.DEFAULT_ALPHA)
-    p.add_argument("--delta", type=float, default=selection.DEFAULT_DELTA)
+    p.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
     p.set_defaults(func=cmd_report)
 
     return parser

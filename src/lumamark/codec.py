@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorspace import YcbcrImage, rgb_to_ycbcr, ycbcr_to_rgb
+from .colorspace import pixels_to_ycc, ycc_to_pixels
 from .errors import DimensionMismatch
 from .pixmap import RgbImage, WatermarkBitmap
 from .selection import (
@@ -38,7 +38,7 @@ class EmbedParams:
         if self.alpha < 2:
             warnings.warn(
                 "alpha=1 leaves no headroom for reconstruction rounding",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -62,15 +62,6 @@ def _check_plan_fits(plan: SelectionPlan, width: int, height: int) -> None:
         )
 
 
-def _carrier_ycc(img: RgbImage, ys: np.ndarray, xs: np.ndarray) -> YcbcrImage:
-    """YCbCr of the carrier pixels only, as a 1x1024 strip in bit order.
-
-    The colour transform is per pixel, so each strip value equals the
-    whole-image conversion at that pixel.
-    """
-    return rgb_to_ycbcr(RgbImage(img.pixels[ys, xs][np.newaxis]))
-
-
 def embed(
     original: RgbImage,
     watermark: WatermarkBitmap,
@@ -79,9 +70,10 @@ def embed(
 ) -> RgbImage:
     """Embed the watermark and reconstruct 8-bit RGB at the carriers.
 
-    Only the 1024 carrier pixels go through YCbCr and back; every other pixel
-    is copied. That is the same output as rebuilding the whole image, because
-    the colour round trip reproduces every unmodified 8-bit triple exactly.
+    Only the 1024 carrier pixels, gathered in bit order, go through YCbCr and
+    back; every other pixel is copied. That is the same output as rebuilding
+    the whole image: the colour transform is per pixel, and its round trip
+    reproduces every unmodified 8-bit triple exactly.
 
     Issues a RuntimeWarning when rounding and clamping to [0, 255] leave
     carriers whose realised luminance change has the wrong sign for their
@@ -93,13 +85,14 @@ def embed(
     else:
         _check_plan_fits(plan, original.width, original.height)
     ys, xs = embedded_pixel_coords(plan)
-    strip = _carrier_ycc(original, ys, xs)
-    white = watermark.bits.reshape(1, -1) == 1
-    signs = np.where(white, 1.0, -1.0)
-    marked = ycbcr_to_rgb(YcbcrImage(strip.y + params.alpha * signs, strip.cb, strip.cr))
-    # The same strip arithmetic extract uses, so this counts exactly the
+    ycc = pixels_to_ycc(original.pixels[ys, xs])
+    y = ycc[:, 0].copy()
+    white = watermark.bits.reshape(-1) == 1
+    ycc[:, 0] += np.where(white, params.alpha, -params.alpha)
+    marked = ycc_to_pixels(ycc)
+    # The same carrier arithmetic extract uses, so this counts exactly the
     # carriers that decode wrong.
-    realised = rgb_to_ycbcr(marked).y - strip.y
+    realised = pixels_to_ycc(marked)[:, 0] - y
     wrong = int(np.count_nonzero((realised >= 0) != white))
     if wrong:
         warnings.warn(
@@ -110,7 +103,7 @@ def embed(
             stacklevel=2,
         )
     pixels = original.pixels.copy()
-    pixels[ys, xs] = marked.pixels[0]
+    pixels[ys, xs] = marked
     return RgbImage(pixels)
 
 
@@ -135,6 +128,9 @@ def extract(
     else:
         _check_plan_fits(plan, original.width, original.height)
     ys, xs = embedded_pixel_coords(plan)
-    diff = _carrier_ycc(watermarked, ys, xs).y - _carrier_ycc(original, ys, xs).y
+    diff = (
+        pixels_to_ycc(watermarked.pixels[ys, xs])[:, 0]
+        - pixels_to_ycc(original.pixels[ys, xs])[:, 0]
+    )
     bits = (diff >= 0).astype(np.uint8).reshape(32, 32)
     return WatermarkBitmap(bits)

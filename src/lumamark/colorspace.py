@@ -89,11 +89,12 @@ def luminance(pixels: np.ndarray) -> np.ndarray:
     """The float64 Y plane of an (h, w, 3) uint8 or signed-int channel array.
 
     Builds no chroma and copies no planes, so whole-image statistics pay for
-    Y alone. It agrees with ``rgb_to_ycbcr(img).y`` to within a few ulp, not
-    bit for bit (a matrix-vector product rounds differently from the 3x3
-    matrix product), so code whose rounding could flip on last-ulp noise
-    keeps using ``rgb_to_ycbcr``. Y is linear: the luminance of a channel
-    difference is the difference of the two luminances.
+    Y alone. It agrees with the Y of ``pixels_to_ycc`` (and of the reference
+    conversion ``rgb_to_ycbcr``) to within a few ulp, not bit for bit (a
+    matrix-vector product rounds differently from the 3x3 matrix product),
+    so code whose rounding could flip on last-ulp noise, such as the codec's
+    carriers, keeps using ``pixels_to_ycc``. Y is linear: the luminance of a
+    channel difference is the difference of the two luminances.
 
     The product runs over row strips, so the float64 cast of the channels
     that ``matmul`` makes stays cache-sized; every row is the same
@@ -120,7 +121,8 @@ def ycc_to_pixels(ycc: np.ndarray) -> np.ndarray:
 
 
 def rgb_to_ycbcr(img: RgbImage) -> YcbcrImage:
-    """Apply the forward matrix per pixel in full real precision."""
+    """Apply the forward matrix per pixel in full real precision: the
+    whole-image reference conversion, ``pixels_to_ycc`` split into planes."""
     ycc = pixels_to_ycc(img.pixels)
     return YcbcrImage(ycc[:, :, 0], ycc[:, :, 1], ycc[:, :, 2])
 
@@ -128,13 +130,3 @@ def rgb_to_ycbcr(img: RgbImage) -> YcbcrImage:
 def ycbcr_to_rgb(img: YcbcrImage) -> RgbImage:
     """Apply the inverse matrix, round halves away from zero, clamp to [0, 255]."""
     return RgbImage(ycc_to_pixels(np.stack((img.y, img.cb, img.cr), axis=-1)))
-
-
-def roundtrip_error(img: RgbImage) -> tuple[int, int, int]:
-    """Per-channel max absolute error of ycbcr_to_rgb(rgb_to_ycbcr(img))."""
-    restored = ycbcr_to_rgb(rgb_to_ycbcr(img))
-    diff = np.abs(
-        img.pixels.astype(np.int16) - restored.pixels.astype(np.int16)
-    ).reshape(-1, 3)
-    r, g, b = diff.max(axis=0)
-    return int(r), int(g), int(b)

@@ -73,10 +73,6 @@ class WatermarkBitmap:
         """(32, 32) uint8 of {0, 1}, read-only."""
         return self._bits
 
-    def to_values(self) -> np.ndarray:
-        """Expand bits to pixel values: 1 -> 255 (white), 0 -> 0 (black)."""
-        return self._bits * np.uint8(255)
-
     def complement(self) -> "WatermarkBitmap":
         return WatermarkBitmap(1 - self._bits)
 

@@ -56,8 +56,8 @@ class SelectionPlan:
 
 def log_average_luminance(y_values: np.ndarray, delta: float = DEFAULT_DELTA) -> float:
     """exp of the mean of log(delta + Y): the geometric brightness of a region."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     samples = np.asarray(y_values, dtype=np.float64).reshape(-1)
     if samples.size == 0:
         raise EmptyRegion("log-average luminance of zero samples")
@@ -74,8 +74,8 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
 def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     """One pass of log(delta + Y): the (grid_rows, grid_cols) candidate mask
     and the whole-image mean log."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     grid_cols, grid_rows = partition_grid(y.shape[1], y.shape[0])
     logs = np.add(y, delta)
     np.log(logs, out=logs)
@@ -88,14 +88,20 @@ def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     return block_log_means >= image_log_mean - TIE_TOLERANCE, image_log_mean
 
 
-def candidate_blocks(img: YcbcrImage, delta: float = DEFAULT_DELTA) -> set[BlockRef]:
+def _y_plane(img: RgbImage | YcbcrImage) -> np.ndarray:
+    """An RgbImage's Y through ``luminance`` alone, without building chroma;
+    a YcbcrImage's Y plane as it is."""
+    return luminance(img.pixels) if isinstance(img, RgbImage) else img.y
+
+
+def candidate_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> set[BlockRef]:
     """Blocks whose log-average luminance >= the whole image's (ties included).
 
     The whole-image value is taken over every pixel, including remainder rows
     and columns that belong to no block. The comparison happens in the log
     domain with TIE_TOLERANCE of slack.
     """
-    is_candidate, _ = _log_stats(img.y, delta)
+    is_candidate, _ = _log_stats(_y_plane(img), delta)
     rows, cols = np.nonzero(is_candidate)
     return {BlockRef(int(c), int(r)) for r, c in zip(rows, cols)}
 
@@ -136,13 +142,10 @@ def spiral_order(grid_cols: int, grid_rows: int) -> list[BlockRef]:
 def select_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> SelectionPlan:
     """First 16 candidate blocks in spiral order, as a reproducible plan.
 
-    An RgbImage is read through ``luminance`` alone, without building chroma;
-    a YcbcrImage through its Y plane. The spiral walk stops at the 16th
-    candidate.
+    The spiral walk stops at the 16th candidate.
     """
     grid_cols, grid_rows = partition_grid(img.width, img.height)
-    y = luminance(img.pixels) if isinstance(img, RgbImage) else img.y
-    is_candidate, image_log_mean = _log_stats(y, delta)
+    is_candidate, image_log_mean = _log_stats(_y_plane(img), delta)
     count = int(is_candidate.sum())
     if count < PLAN_BLOCKS:
         raise InsufficientCandidates(f"{count} candidate blocks, need {PLAN_BLOCKS}")

@@ -109,6 +109,16 @@ def candidate_oracle(y: np.ndarray, delta: float) -> set[tuple[int, int]]:
     return out
 
 
+def roundtrip_error(img: RgbImage) -> tuple[int, int, int]:
+    """Per-channel max absolute error of ycbcr_to_rgb(rgb_to_ycbcr(img))."""
+    restored = ycbcr_to_rgb(rgb_to_ycbcr(img))
+    diff = np.abs(
+        img.pixels.astype(np.int16) - restored.pixels.astype(np.int16)
+    ).reshape(-1, 3)
+    r, g, b = diff.max(axis=0)
+    return int(r), int(g), int(b)
+
+
 def dense_embed(
     original: RgbImage, watermark: WatermarkBitmap, params: EmbedParams = EmbedParams(), plan=None
 ) -> RgbImage:

@@ -11,7 +11,7 @@ import pytest
 
 from lumamark.attacks import center_keep_rect, compress_attack, crop_attack, grayscale_attack
 from lumamark.codec import embed, extract
-from lumamark.colorspace import rgb_to_ycbcr, roundtrip_error
+from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.metrics import decide, psnr, similarity
 from lumamark.pixmap import RgbImage
 from lumamark.selection import DEFAULT_DELTA, TIE_TOLERANCE, select_blocks, spiral_order
@@ -20,6 +20,7 @@ from support import (
     gray_image,
     log_mean_oracle,
     random_bitmap,
+    roundtrip_error,
     spiral_oracle,
     ycc_from_y,
 )

@@ -67,6 +67,19 @@ class TestEmbedCommand:
             main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"), "--alpha", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan", "x"])
+    def test_delta_not_finite_and_positive_is_usage_error(self, paths, tmp_path, delta):
+        runs = [
+            ["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm")],
+            ["extract", paths["img"], paths["img"], str(tmp_path / "w.pbm")],
+            ["report", paths["img"], paths["logo"]],
+        ]
+        for argv in runs:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--delta", delta])
+            assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask022", "umask027"])
     def test_outputs_get_the_mode_the_umask_allows(self, paths, tmp_path, umask):
         marked, plan = tmp_path / "m.ppm", tmp_path / "plan.txt"

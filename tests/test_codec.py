@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from lumamark.codec import EmbedParams, embed, embedded_pixel_coords, extract
 from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.errors import DimensionMismatch, InsufficientCandidates
 from lumamark.metrics import similarity
-from lumamark.pixmap import WatermarkBitmap
+from lumamark.pixmap import RgbImage, WatermarkBitmap
 from lumamark.selection import select_blocks
 
 from support import (
@@ -37,8 +38,11 @@ class TestEmbedParams:
             EmbedParams(alpha=0)
 
     def test_alpha_one_warns_but_works(self):
-        with pytest.warns(UserWarning):
-            EmbedParams(alpha=1)
+        with pytest.warns(UserWarning) as record:
+            params = EmbedParams(alpha=1)
+        assert params.alpha == 1
+        # the warning names the caller's line, not the dataclass __init__
+        assert record[0].filename == __file__
 
 
 class TestBitPixelMapping:
@@ -205,3 +209,55 @@ class TestDenseOracle:
             expected = dense_extract(img, test, params)
             assert extract(img, test, params) == expected
             assert extract(img, test, params, plan=plan) == dense_extract(img, test, params, plan)
+
+
+class TestExactReversibility:
+    """When extract(original, embed(original, wm)) returns wm exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(32, 120),
+        height=st.integers(32, 120),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.integers(2, 8),
+        extreme=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    def test_exact_iff_every_carrier_keeps_its_sign(self, width, height, seed, alpha, extreme):
+        # A share of the pixels sits within 3 of black or white, where
+        # rounding and clamping can eat a carrier's luminance change.
+        rng = np.random.default_rng(seed)
+        pixels = random_image(rng, width, height).pixels.copy()
+        near_edge = rng.random(pixels.shape[:2]) < extreme
+        low = rng.random(pixels.shape[:2]) < 0.5
+        offsets = rng.integers(0, 4, size=pixels.shape, dtype=np.uint8)
+        pixels[near_edge & low] = offsets[near_edge & low]
+        pixels[near_edge & ~low] = 255 - offsets[near_edge & ~low]
+        img = RgbImage(pixels)
+        wm = random_bitmap(rng)
+        params = EmbedParams(alpha=alpha)
+        try:
+            plan = select_blocks(img)
+        except InsufficientCandidates:
+            return
+        # The condition, read off the whole-image oracle: each carrier's
+        # realised luminance change has the sign its bit asks for.
+        ys, xs = embedded_pixel_coords(plan)
+        dense = dense_embed(img, wm, params, plan)
+        realised = rgb_to_ycbcr(dense).y - rgb_to_ycbcr(img).y
+        white = wm.bits.reshape(-1) == 1
+        unable = int(np.count_nonzero((realised[ys, xs] >= 0) != white))
+
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            marked = embed(img, wm, params)
+        assert marked == dense
+        extracted = extract(img, marked, params)
+        wrong_bits = int(np.count_nonzero(extracted.bits != wm.bits))
+        assert wrong_bits == unable
+        assert (extracted == wm) == (unable == 0)
+        counts = [
+            int(re.match(r"(\d+) of 1024 carriers", str(w.message)).group(1))
+            for w in record
+            if issubclass(w.category, RuntimeWarning)
+        ]
+        assert counts == ([wrong_bits] if wrong_bits else [])

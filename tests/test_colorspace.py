@@ -8,13 +8,12 @@ from lumamark.colorspace import (
     luminance,
     rgb_to_ycbcr,
     round_half_away,
-    roundtrip_error,
     ycbcr_to_rgb,
 )
 from lumamark.errors import DimensionMismatch
 from lumamark.pixmap import RgbImage
 
-from support import gray_image
+from support import gray_image, roundtrip_error
 
 # Frozen regression constant: exhaustive evaluation over all 16.7M RGB
 # triples found a worst-case round-trip error of exactly zero.

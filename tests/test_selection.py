@@ -82,8 +82,17 @@ class TestLogAverageLuminance:
             log_average_luminance(np.array([]))
 
     def test_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            log_average_luminance(np.ones(4), 0.0)
+        # Every entry point rejects a delta that is not finite and positive:
+        # inf would make every block a candidate, nan none.
+        images = (RgbImage(np.full((64, 64, 3), 90, np.uint8)), ycc_from_y(np.full((64, 64), 90.0)))
+        for delta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                log_average_luminance(np.ones(4), delta)
+            for img in images:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    candidate_blocks(img, delta)
+                with pytest.raises(ValueError, match="finite and positive"):
+                    select_blocks(img, delta)
 
 
 class TestPartitionGrid:
@@ -227,6 +236,7 @@ class TestSelectBlocks:
             return
         got = select_blocks(img)
         assert got.blocks == expected.blocks
+        assert candidate_blocks(img) == candidate_blocks(rgb_to_ycbcr(img))
         assert (got.grid_cols, got.grid_rows) == (expected.grid_cols, expected.grid_rows)
         assert got.image_log_avg == pytest.approx(expected.image_log_avg, rel=1e-12)
 
