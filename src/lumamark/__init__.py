@@ -7,7 +7,7 @@ and recovered non-blind by comparing luminance signs against the original.
 
 from . import attacks, cli, codec, colorspace, metrics, pixmap, selection
 from .attacks import CropRect, compress_attack, crop_attack, grayscale_attack
-from .codec import EmbedParams, embed, extract
+from .codec import embed, extract
 from .errors import (
     DimensionMismatch,
     EmptyRegion,
@@ -44,7 +44,6 @@ __all__ = [
     "BlockRef",
     "CropRect",
     "DimensionMismatch",
-    "EmbedParams",
     "EmptyRegion",
     "ImageTooSmall",
     "InsufficientCandidates",

@@ -109,9 +109,8 @@ def cmd_embed(args) -> int:
     _check_paths([args.original, args.watermark], outputs)
     original = _read_image(args.original)
     watermark = _read_watermark(args.watermark)
-    params = codec.EmbedParams(alpha=args.alpha, delta=args.delta)
-    plan = selection.select_blocks(original, params.delta)
-    marked = codec.embed(original, watermark, params, plan=plan)
+    plan = selection.select_blocks(original, args.delta)
+    marked = codec.embed(original, watermark, args.alpha, plan=plan)
     _write_atomic(Path(args.output), pixmap.write_rgb_image(marked))
     if args.dump_plan:
         _write_atomic(Path(args.dump_plan), selection.serialize_plan(plan).encode("ascii"))
@@ -129,11 +128,11 @@ def cmd_extract(args) -> int:
     _check_paths(inputs, [args.output])
     original = _read_image(args.original)
     watermarked = _read_image(args.watermarked)
-    params = codec.EmbedParams(delta=args.delta)
-    plan = None
     if args.use_plan:
         plan = selection.parse_plan(Path(args.use_plan).read_text("ascii"))
-    extracted = codec.extract(original, watermarked, params, plan=plan)
+    else:
+        plan = selection.select_blocks(original, args.delta)
+    extracted = codec.extract(original, watermarked, plan=plan)
     _write_atomic(Path(args.output), pixmap.write_watermark(extracted))
     if args.reference:
         sigma = metrics.similarity(_read_watermark(args.reference), extracted)
@@ -175,9 +174,8 @@ def cmd_report(args) -> int:
     _check_paths([args.original, args.watermark], [])
     original = _read_image(args.original)
     watermark = _read_watermark(args.watermark)
-    params = codec.EmbedParams(alpha=args.alpha, delta=args.delta)
-    plan = selection.select_blocks(original, params.delta)
-    marked = codec.embed(original, watermark, params, plan=plan)
+    plan = selection.select_blocks(original, args.delta)
+    marked = codec.embed(original, watermark, args.alpha, plan=plan)
     keep = attacks.center_keep_rect(original.width, original.height)
     grid = [
         ("no-change", marked, True),
@@ -187,7 +185,7 @@ def cmd_report(args) -> int:
     ]
     print("test,psnr_db,sigma,matched")
     for name, attacked, with_psnr in grid:
-        extracted = codec.extract(original, attacked, params, plan=plan)
+        extracted = codec.extract(original, attacked, plan=plan)
         sigma = metrics.similarity(watermark, extracted)
         psnr_field = _fmt(metrics.psnr(original, attacked)) if with_psnr else ""
         print(f"{name},{psnr_field},{sigma:.3f},{str(metrics.decide(sigma)).lower()}")
@@ -215,9 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("original", help="original cover image (P6)")
     p.add_argument("watermarked", help="watermarked image (P6)")
     p.add_argument("output", help="extracted watermark to write (P4)")
-    p.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
     p.add_argument("--reference", metavar="PBM", help="print sigma against this watermark")
-    p.add_argument("--use-plan", metavar="PATH", help="load a selection plan instead of recomputing")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
+    group.add_argument("--use-plan", metavar="PATH",
+                       help="load a selection plan instead of recomputing")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("attack", help="apply one deterministic attack")

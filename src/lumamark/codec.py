@@ -9,37 +9,15 @@ a difference of exactly zero decodes as white.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .colorspace import pixels_to_ycc, ycc_to_pixels
 from .errors import DimensionMismatch
 from .pixmap import RgbImage, WatermarkBitmap
-from .selection import (
-    BLOCK_SIZE,
-    DEFAULT_DELTA,
-    SelectionPlan,
-    partition_grid,
-    select_blocks,
-)
+from .selection import BLOCK_SIZE, SelectionPlan, partition_grid, select_blocks
 
 DEFAULT_ALPHA = 3
-
-
-@dataclass(frozen=True)
-class EmbedParams:
-    alpha: int = DEFAULT_ALPHA
-    delta: float = DEFAULT_DELTA
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1 (0 would make the sign test vacuous)")
-        if self.alpha < 2:
-            warnings.warn(
-                "alpha=1 leaves no headroom for reconstruction rounding",
-                stacklevel=3,
-            )
 
 
 def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -54,18 +32,23 @@ def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
-def _check_plan_fits(plan: SelectionPlan, width: int, height: int) -> None:
-    if (plan.grid_cols, plan.grid_rows) != partition_grid(width, height):
+def _plan_for(original: RgbImage, plan: SelectionPlan | None) -> SelectionPlan:
+    """The given plan, checked against the image's grid, or the default-delta
+    plan of the original when none is given."""
+    if plan is None:
+        return select_blocks(original)
+    if (plan.grid_cols, plan.grid_rows) != partition_grid(original.width, original.height):
         raise DimensionMismatch(
             f"plan grid {plan.grid_cols}x{plan.grid_rows} does not match "
-            f"a {width}x{height} image"
+            f"a {original.width}x{original.height} image"
         )
+    return plan
 
 
 def embed(
     original: RgbImage,
     watermark: WatermarkBitmap,
-    params: EmbedParams = EmbedParams(),
+    alpha: int = DEFAULT_ALPHA,
     plan: SelectionPlan | None = None,
 ) -> RgbImage:
     """Embed the watermark and reconstruct 8-bit RGB at the carriers.
@@ -79,16 +62,20 @@ def embed(
     carriers whose realised luminance change has the wrong sign for their
     bit (a white bit with dY < 0, a black bit with dY >= 0): extraction
     reads those carriers wrong even from the unattacked image.
+
+    Without a plan the blocks are selected from the original at the default
+    delta; pass ``plan=select_blocks(original, delta)`` for another delta.
+    alpha must be at least 1, and alpha 1 warns.
     """
-    if plan is None:
-        plan = select_blocks(original, params.delta)
-    else:
-        _check_plan_fits(plan, original.width, original.height)
-    ys, xs = embedded_pixel_coords(plan)
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1 (0 would make the sign test vacuous)")
+    if alpha < 2:
+        warnings.warn("alpha=1 leaves no headroom for reconstruction rounding", stacklevel=2)
+    ys, xs = embedded_pixel_coords(_plan_for(original, plan))
     ycc = pixels_to_ycc(original.pixels[ys, xs])
     y = ycc[:, 0].copy()
     white = watermark.bits.reshape(-1) == 1
-    ycc[:, 0] += np.where(white, params.alpha, -params.alpha)
+    ycc[:, 0] += np.where(white, alpha, -alpha)
     marked = ycc_to_pixels(ycc)
     # The same carrier arithmetic extract uses, so this counts exactly the
     # carriers that decode wrong.
@@ -110,7 +97,6 @@ def embed(
 def extract(
     original: RgbImage,
     watermarked: RgbImage,
-    params: EmbedParams = EmbedParams(),
     plan: SelectionPlan | None = None,
 ) -> WatermarkBitmap:
     """Recover the watermark by comparing carrier-pixel luminance signs.
@@ -123,11 +109,7 @@ def extract(
             f"original is {original.width}x{original.height}, "
             f"watermarked is {watermarked.width}x{watermarked.height}"
         )
-    if plan is None:
-        plan = select_blocks(original, params.delta)
-    else:
-        _check_plan_fits(plan, original.width, original.height)
-    ys, xs = embedded_pixel_coords(plan)
+    ys, xs = embedded_pixel_coords(_plan_for(original, plan))
     diff = (
         pixels_to_ycc(watermarked.pixels[ys, xs])[:, 0]
         - pixels_to_ycc(original.pixels[ys, xs])[:, 0]

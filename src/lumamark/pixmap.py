@@ -185,32 +185,23 @@ def read_watermark(data: bytes) -> WatermarkBitmap:
 
 
 def _read_p1_digits(tok: _Tokenizer) -> np.ndarray:
-    data = tok.data
-    digits = []
-    i = tok.pos
-    n = len(data)
-    while i < n and len(digits) < WATERMARK_BITS:
-        c = data[i]
-        if c == 0x23:
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        if c in (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C):
-            i += 1
-            continue
-        if c == 0x30:
-            digits.append(0)
-        elif c == 0x31:
-            digits.append(1)
-        else:
-            raise MalformedHeader(f"invalid P1 pixel byte {bytes([c])!r}")
-        i += 1
-    if len(digits) < WATERMARK_BITS:
-        raise MalformedHeader(f"need {WATERMARK_BITS} P1 pixels, found {len(digits)}")
-    rest = data[i:]
-    if rest.strip(b" \t\r\n\x0b\x0c"):
+    """The 1024 ASCII digits after a P1 header; digits may run together."""
+    digits = bytearray()
+    while len(digits) < WATERMARK_BITS:
+        try:
+            token = tok.next_token()
+        except MalformedHeader:
+            raise MalformedHeader(
+                f"need {WATERMARK_BITS} P1 pixels, found {len(digits)}"
+            ) from None
+        invalid = token.translate(None, b"01")
+        if invalid:
+            raise MalformedHeader(f"invalid P1 pixel byte {invalid[:1]!r}")
+        digits += token
+    if len(digits) > WATERMARK_BITS or tok.data[tok.pos:].strip(b" \t\r\n\x0b\x0c"):
         raise MalformedHeader("trailing data after P1 pixels")
-    return np.array(digits, dtype=np.uint8).reshape(WATERMARK_SIDE, WATERMARK_SIDE)
+    ink = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+    return ink.reshape(WATERMARK_SIDE, WATERMARK_SIDE)
 
 
 def write_watermark(w: WatermarkBitmap) -> bytes:

@@ -28,6 +28,11 @@ DEFAULT_DELTA = 0.0001
 TIE_TOLERANCE = 1e-9
 
 
+def _check_finite_positive(name: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 class BlockRef(NamedTuple):
     col: int
     row: int
@@ -42,9 +47,10 @@ class SelectionPlan:
     grid_rows: int
     image_log_avg: float
     delta: float
-    block_size: int = BLOCK_SIZE
 
     def __post_init__(self):
+        _check_finite_positive("delta", self.delta)
+        _check_finite_positive("image_log_avg", self.image_log_avg)
         if len(self.blocks) != PLAN_BLOCKS:
             raise ValueError(f"plan must hold {PLAN_BLOCKS} blocks, got {len(self.blocks)}")
         if len(set(self.blocks)) != PLAN_BLOCKS:
@@ -56,8 +62,7 @@ class SelectionPlan:
 
 def log_average_luminance(y_values: np.ndarray, delta: float = DEFAULT_DELTA) -> float:
     """exp of the mean of log(delta + Y): the geometric brightness of a region."""
-    if not 0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    _check_finite_positive("delta", delta)
     samples = np.asarray(y_values, dtype=np.float64).reshape(-1)
     if samples.size == 0:
         raise EmptyRegion("log-average luminance of zero samples")
@@ -74,8 +79,7 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
 def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     """One pass of log(delta + Y): the (grid_rows, grid_cols) candidate mask
     and the whole-image mean log."""
-    if not 0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    _check_finite_positive("delta", delta)
     grid_cols, grid_rows = partition_grid(y.shape[1], y.shape[0])
     logs = np.add(y, delta)
     np.log(logs, out=logs)
@@ -162,7 +166,7 @@ def select_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> S
 def serialize_plan(plan: SelectionPlan) -> str:
     """Canonical text form: header fields, then one 'col,row' line per block."""
     lines = [
-        f"block_size={plan.block_size}",
+        f"block_size={BLOCK_SIZE}",
         f"grid_cols={plan.grid_cols}",
         f"grid_rows={plan.grid_rows}",
         f"delta={plan.delta!r}",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from lumamark.attacks import quant_steps
-from lumamark.codec import EmbedParams, embedded_pixel_coords
+from lumamark.codec import DEFAULT_ALPHA, embedded_pixel_coords
 from lumamark.colorspace import YcbcrImage, rgb_to_ycbcr, ycbcr_to_rgb
 from lumamark.pixmap import RgbImage, WatermarkBitmap
 from lumamark.selection import BLOCK_SIZE, TIE_TOLERANCE, select_blocks
@@ -109,6 +109,38 @@ def candidate_oracle(y: np.ndarray, delta: float) -> set[tuple[int, int]]:
     return out
 
 
+def delta_sensitive_image() -> RgbImage:
+    """128x128: gray 200 above gray 20, with a 0/255 checkerboard in block
+    (8, 8), the grid center. At the default delta the checkerboard's black
+    pixels sink its log-average and the plan starts at block (7, 7); at
+    delta 1000 the block qualifies and the plan starts at (8, 8)."""
+    pixels = np.full((128, 128, 3), 200, dtype=np.uint8)
+    pixels[64:] = 20
+    yy, xx = np.indices((8, 8))
+    pixels[64:72, 64:72] = np.where((yy + xx) % 2 == 0, 0, 255)[..., None]
+    return RgbImage(pixels)
+
+
+# Plan header values no selection can produce: delta and the log-average
+# are always finite and positive.
+IMPOSSIBLE_PLAN_VALUES = [
+    ("delta", "nan"),
+    ("delta", "inf"),
+    ("delta", "0.0"),
+    ("delta", "-0.0001"),
+    ("image_log_avg", "-120.1"),
+    ("image_log_avg", "0.0"),
+    ("image_log_avg", "inf"),
+    ("image_log_avg", "nan"),
+]
+
+
+def edit_plan_field(text: str, field: str, value: str) -> str:
+    """A plan dump with one header line's value replaced."""
+    lines = [f"{field}={value}" if ln.startswith(f"{field}=") else ln for ln in text.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
 def roundtrip_error(img: RgbImage) -> tuple[int, int, int]:
     """Per-channel max absolute error of ycbcr_to_rgb(rgb_to_ycbcr(img))."""
     restored = ycbcr_to_rgb(rgb_to_ycbcr(img))
@@ -120,28 +152,26 @@ def roundtrip_error(img: RgbImage) -> tuple[int, int, int]:
 
 
 def dense_embed(
-    original: RgbImage, watermark: WatermarkBitmap, params: EmbedParams = EmbedParams(), plan=None
+    original: RgbImage, watermark: WatermarkBitmap, alpha: int = DEFAULT_ALPHA, plan=None
 ) -> RgbImage:
     """Reference embed: convert the whole image, add +-alpha to the carriers'
     Y, rebuild every pixel from YCbCr."""
     ycc = rgb_to_ycbcr(original)
     if plan is None:
-        plan = select_blocks(ycc, params.delta)
+        plan = select_blocks(ycc)
     ys, xs = embedded_pixel_coords(plan)
     y = ycc.y.copy()
-    y[ys, xs] += params.alpha * np.where(watermark.bits.reshape(-1) == 1, 1.0, -1.0)
+    y[ys, xs] += alpha * np.where(watermark.bits.reshape(-1) == 1, 1.0, -1.0)
     return ycbcr_to_rgb(YcbcrImage(y, ycc.cb, ycc.cr))
 
 
-def dense_extract(
-    original: RgbImage, watermarked: RgbImage, params: EmbedParams = EmbedParams(), plan=None
-) -> WatermarkBitmap:
+def dense_extract(original: RgbImage, watermarked: RgbImage, plan=None) -> WatermarkBitmap:
     """Reference extract: convert both whole images, read the sign of the Y
     difference at the carriers (zero decodes white)."""
     ycc_orig = rgb_to_ycbcr(original)
     ycc_marked = rgb_to_ycbcr(watermarked)
     if plan is None:
-        plan = select_blocks(ycc_orig, params.delta)
+        plan = select_blocks(ycc_orig)
     ys, xs = embedded_pixel_coords(plan)
     diff = ycc_marked.y[ys, xs] - ycc_orig.y[ys, xs]
     return WatermarkBitmap((diff >= 0).astype(np.uint8).reshape(32, 32))

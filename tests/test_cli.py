@@ -14,7 +14,13 @@ from lumamark.pixmap import (
 )
 from lumamark.selection import parse_plan
 
-from support import gray_image, subprocess_env
+from support import (
+    IMPOSSIBLE_PLAN_VALUES,
+    delta_sensitive_image,
+    edit_plan_field,
+    gray_image,
+    subprocess_env,
+)
 
 
 @pytest.fixture
@@ -130,6 +136,50 @@ class TestExtractCommand:
         assert main(["extract", paths["img"], str(marked), str(b),
                      "--use-plan", str(plan_path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_default_delta_reaches_selection(self, logo, tmp_path, capsys):
+        # At delta 1000 the checkerboard block (8, 8) qualifies and leads the
+        # plan; at the default delta it does not.
+        img, wm = tmp_path / "img.ppm", tmp_path / "wm.pbm"
+        img.write_bytes(write_rgb_image(delta_sensitive_image()))
+        wm.write_bytes(write_watermark(logo))
+        marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
+        assert main(["embed", str(img), str(wm), str(marked), "--delta", "1000",
+                     "--dump-plan", str(plan_path)]) == 0
+        lines = plan_path.read_text().splitlines()
+        assert "delta=1000.0" in lines
+        assert lines[5] == "8,8"
+        by_delta, by_plan, by_default = (tmp_path / f"{n}.pbm" for n in ("d", "p", "x"))
+        assert main(["extract", str(img), str(marked), str(by_delta), "--delta", "1000"]) == 0
+        assert main(["extract", str(img), str(marked), str(by_plan),
+                     "--use-plan", str(plan_path)]) == 0
+        assert main(["extract", str(img), str(marked), str(by_default)]) == 0
+        assert by_delta.read_bytes() == by_plan.read_bytes()
+        assert by_delta.read_bytes() != by_default.read_bytes()
+
+    def test_delta_and_use_plan_together_is_usage_error(self, paths, tmp_path):
+        plan_path = tmp_path / "plan.txt"
+        assert main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"),
+                     "--dump-plan", str(plan_path)]) == 0
+        out = tmp_path / "w.pbm"
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", paths["img"], str(tmp_path / "m.ppm"), str(out),
+                  "--use-plan", str(plan_path), "--delta", "1000"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", IMPOSSIBLE_PLAN_VALUES)
+    def test_impossible_plan_exits_1(self, paths, tmp_path, capsys, field, value):
+        marked, plan_path = tmp_path / "m.ppm", tmp_path / "plan.txt"
+        assert main(["embed", paths["img"], paths["logo"], str(marked),
+                     "--dump-plan", str(plan_path)]) == 0
+        plan_path.write_text(edit_plan_field(plan_path.read_text(), field, value))
+        out = tmp_path / "w.pbm"
+        assert main(["extract", paths["img"], str(marked), str(out),
+                     "--use-plan", str(plan_path)]) == 1
+        assert f"ValueError: {field} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAttackCommand:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumamark.attacks import compress_attack
-from lumamark.codec import EmbedParams, embed, embedded_pixel_coords, extract
+from lumamark.codec import embed, embedded_pixel_coords, extract
 from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.errors import DimensionMismatch, InsufficientCandidates
 from lumamark.metrics import similarity
@@ -16,6 +16,7 @@ from lumamark.selection import select_blocks
 
 from support import (
     checkerboard_bitmap,
+    delta_sensitive_image,
     dense_embed,
     dense_extract,
     gray_image,
@@ -29,19 +30,30 @@ def all_white():
 
 
 class TestEmbedParams:
-    def test_defaults(self):
-        p = EmbedParams()
-        assert p.alpha == 3 and p.delta == 0.0001
+    def test_defaults(self, logo):
+        # alpha 3, and without a plan both directions select at delta 0.0001
+        img = delta_sensitive_image()
+        default_plan = select_blocks(img, 0.0001)
+        other_plan = select_blocks(img, 1000.0)
+        assert default_plan.blocks != other_plan.blocks
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            marked = embed(img, logo)
+            assert marked == embed(img, logo, 3, plan=default_plan)
+            assert marked != embed(img, logo, 3, plan=other_plan)
+        assert extract(img, marked) == extract(img, marked, plan=default_plan)
+        assert extract(img, marked) != extract(img, marked, plan=other_plan)
 
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            EmbedParams(alpha=0)
+    def test_alpha_zero_rejected(self, logo):
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            embed(gray_image(128, 64, 64), logo, alpha=0)
 
-    def test_alpha_one_warns_but_works(self):
-        with pytest.warns(UserWarning) as record:
-            params = EmbedParams(alpha=1)
-        assert params.alpha == 1
-        # the warning names the caller's line, not the dataclass __init__
+    def test_alpha_one_warns_but_works(self, logo):
+        img = gray_image(128, 64, 64)
+        with pytest.warns(UserWarning, match="alpha=1") as record:
+            marked = embed(img, logo, alpha=1)
+        assert extract(img, marked) == logo
+        # the warning names the caller's line, not a line inside the codec
         assert record[0].filename == __file__
 
 
@@ -182,8 +194,7 @@ class TestExtract:
 
     def test_alpha_five_also_roundtrips(self, corpus, logo):
         img = corpus["smooth_blobs"]
-        params = EmbedParams(alpha=5)
-        assert extract(img, embed(img, logo, params), params) == logo
+        assert extract(img, embed(img, logo, alpha=5)) == logo
 
 
 class TestDenseOracle:
@@ -200,15 +211,26 @@ class TestDenseOracle:
         rng = np.random.default_rng(seed)
         img = random_image(rng, width, height)
         wm = random_bitmap(rng)
-        params = EmbedParams(alpha=alpha)
         plan = select_blocks(rgb_to_ycbcr(img))
-        marked = embed(img, wm, params)
-        assert marked == dense_embed(img, wm, params)
-        assert embed(img, wm, params, plan=plan) == marked
+        marked = embed(img, wm, alpha)
+        assert marked == dense_embed(img, wm, alpha)
+        assert embed(img, wm, alpha, plan=plan) == marked
         for test in (marked, compress_attack(marked, 0.75), random_image(rng, width, height)):
-            expected = dense_extract(img, test, params)
-            assert extract(img, test, params) == expected
-            assert extract(img, test, params, plan=plan) == dense_extract(img, test, params, plan)
+            expected = dense_extract(img, test)
+            assert extract(img, test) == expected
+            assert extract(img, test, plan=plan) == dense_extract(img, test, plan)
+
+    def test_non_default_delta_plan_same_bytes_as_dense(self, logo):
+        img = delta_sensitive_image()
+        plan = select_blocks(img, 1000.0)
+        assert plan.blocks[0] == (8, 8)
+        with warnings.catch_warnings():
+            # black bits on the checkerboard's black pixels clamp
+            warnings.simplefilter("ignore", RuntimeWarning)
+            marked = embed(img, logo, plan=plan)
+        assert marked == dense_embed(img, logo, plan=plan)
+        assert marked != dense_embed(img, logo)
+        assert extract(img, marked, plan=plan) == dense_extract(img, marked, plan)
 
 
 class TestExactReversibility:
@@ -234,7 +256,6 @@ class TestExactReversibility:
         pixels[near_edge & ~low] = 255 - offsets[near_edge & ~low]
         img = RgbImage(pixels)
         wm = random_bitmap(rng)
-        params = EmbedParams(alpha=alpha)
         try:
             plan = select_blocks(img)
         except InsufficientCandidates:
@@ -242,16 +263,16 @@ class TestExactReversibility:
         # The condition, read off the whole-image oracle: each carrier's
         # realised luminance change has the sign its bit asks for.
         ys, xs = embedded_pixel_coords(plan)
-        dense = dense_embed(img, wm, params, plan)
+        dense = dense_embed(img, wm, alpha, plan)
         realised = rgb_to_ycbcr(dense).y - rgb_to_ycbcr(img).y
         white = wm.bits.reshape(-1) == 1
         unable = int(np.count_nonzero((realised[ys, xs] >= 0) != white))
 
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            marked = embed(img, wm, params)
+            marked = embed(img, wm, alpha)
         assert marked == dense
-        extracted = extract(img, marked, params)
+        extracted = extract(img, marked)
         wrong_bits = int(np.count_nonzero(extracted.bits != wm.bits))
         assert wrong_bits == unable
         assert (extracted == wm) == (unable == 0)

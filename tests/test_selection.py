@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,14 @@ from lumamark.selection import (
     spiral_order,
 )
 
-from support import candidate_oracle, log_avg_oracle, spiral_oracle, ycc_from_y
+from support import (
+    IMPOSSIBLE_PLAN_VALUES,
+    candidate_oracle,
+    edit_plan_field,
+    log_avg_oracle,
+    spiral_oracle,
+    ycc_from_y,
+)
 
 
 def _test_pixels(kind: str, seed: int, width: int, height: int) -> np.ndarray:
@@ -261,6 +269,16 @@ class TestPlanSerialization:
         text = "\n".join(serialize_plan(plan).splitlines()[:-1]) + "\n"
         with pytest.raises(ValueError):
             parse_plan(text)
+
+    @pytest.mark.parametrize("field,value", IMPOSSIBLE_PLAN_VALUES)
+    def test_impossible_values_rejected(self, corpus, field, value):
+        plan = select_blocks(corpus["smooth_blobs"])
+        text = edit_plan_field(serialize_plan(plan), field, value)
+        assert text != serialize_plan(plan)
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            parse_plan(text)
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            dataclasses.replace(plan, **{field: float(value)})
 
     def test_plan_invariants(self):
         blocks = tuple(BlockRef(c, 0) for c in range(16))
