@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .colorspace import STRIP_ROWS, pixels_to_ycc, round_half_away, ycc_to_pixels
+from .colorspace import RGB_TO_YCC, STRIP_ROWS, pixels_to_ycc, round_half_away, ycc_to_pixels
 from .errors import RectOutOfBounds
 from .pixmap import RgbImage
 from .selection import BLOCK_SIZE
@@ -55,8 +55,12 @@ def crop_attack(img: RgbImage, keep: CropRect) -> RgbImage:
 
 def grayscale_attack(img: RgbImage) -> RgbImage:
     """Replace each pixel with its rounded luminance; Y changes by rounding only."""
+    # Element-wise, not ``luminance``: its matrix-vector product rounds
+    # differently, and 2529 of the 16,782 RGB triples whose Y is an exact
+    # half (299r + 587g + 114b = 500 mod 1000) would then round the other way.
+    wr, wg, wb = RGB_TO_YCC[0]
     px = img.pixels
-    g = px[:, :, 0] * 0.299 + px[:, :, 1] * 0.587 + px[:, :, 2] * 0.114
+    g = px[:, :, 0] * wr + px[:, :, 1] * wg + px[:, :, 2] * wb
     g = np.clip(round_half_away(g), 0, 255, out=g).astype(np.uint8)
     return RgbImage(np.stack((g, g, g), axis=-1))
 

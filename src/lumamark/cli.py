@@ -1,9 +1,10 @@
 """Command-line front end: embed, extract, attack, metrics, report.
 
-Exit codes: 0 success, 1 I/O or file-format trouble, 2 domain errors
-(image too small, not enough candidate blocks, dimension mismatch) and
-invalid usage. Output files are written to a temporary name and renamed
-into place, so a failing run never leaves a partial file behind.
+Exit codes: 0 success, 1 I/O or file-format trouble (``OSError`` and
+``ValueError``, which the file-format errors subclass), 2 every other
+toolkit error (image too small, not enough candidate blocks, dimension
+mismatch) and invalid usage. Output files are written to a temporary name
+and renamed into place, so a failing run never leaves a partial file behind.
 """
 
 import argparse
@@ -14,25 +15,7 @@ import tempfile
 from pathlib import Path
 
 from . import attacks, codec, metrics, pixmap, selection
-from .errors import (
-    DimensionMismatch,
-    EmptyRegion,
-    ImageTooSmall,
-    InsufficientCandidates,
-    MalformedHeader,
-    RectOutOfBounds,
-    TruncatedPayload,
-    WrongDimensions,
-)
-
-_FORMAT_ERRORS = (MalformedHeader, TruncatedPayload, WrongDimensions)
-_DOMAIN_ERRORS = (
-    ImageTooSmall,
-    InsufficientCandidates,
-    DimensionMismatch,
-    RectOutOfBounds,
-    EmptyRegion,
-)
+from .errors import LumamarkError
 
 
 def _alpha_arg(text: str) -> int:
@@ -252,10 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (*_FORMAT_ERRORS, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # the file-format errors are ValueErrors
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except _DOMAIN_ERRORS as exc:
+    except LumamarkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,8 @@ class RgbImage:
                 raise ValueError(f"pixel array must be integer-typed, got {arr.dtype}")
             if arr.min() < 0 or arr.max() > 255:
                 raise ValueError("channel values must lie in [0, 255]")
-        arr = arr.astype(np.uint8, copy=True)
+        # C order, so the pixels are one contiguous buffer for write_rgb_image.
+        arr = arr.astype(np.uint8, order="C", copy=True)
         arr.flags.writeable = False
         self._pixels = arr
 
@@ -127,59 +128,57 @@ class _Tokenizer:
         return self.pos + 1
 
 
-def read_rgb_image(data: bytes) -> RgbImage:
-    """Decode a binary PPM (P6, maxval 255) bit-exactly."""
+def _read_header(data: bytes, magics: tuple[bytes, ...]) -> tuple[_Tokenizer, bytes, int, int]:
+    """Parse the magic (one of ``magics``), width and height; return them with
+    the tokenizer positioned after the height."""
     tok = _Tokenizer(data)
     magic = tok.next_token()
-    if magic != b"P6":
-        raise MalformedHeader(f"expected magic P6, got {magic!r}")
+    if magic not in magics:
+        expected = " or ".join(m.decode() for m in magics)
+        raise MalformedHeader(f"expected magic {expected}, got {magic!r}")
     width = tok.next_int()
     height = tok.next_int()
-    maxval = tok.next_int()
     if width < 1 or height < 1:
         raise MalformedHeader(f"bad dimensions {width}x{height}")
+    return tok, magic, width, height
+
+
+def _payload(tok: _Tokenizer, size: int) -> np.ndarray:
+    """The ``size`` payload bytes after the header, viewed in place, not
+    copied. Over a bytearray the view stays writable, so callers copy it."""
+    start = tok.start_of_payload()
+    found = len(tok.data) - start
+    if found < size:
+        raise TruncatedPayload(f"need {size} payload bytes, found {found}")
+    if found > size:
+        raise MalformedHeader(f"{found - size} trailing bytes after payload")
+    return np.frombuffer(tok.data, np.uint8, count=size, offset=start)
+
+
+def read_rgb_image(data: bytes) -> RgbImage:
+    """Decode a binary PPM (P6, maxval 255) bit-exactly."""
+    tok, _, width, height = _read_header(data, (b"P6",))
+    maxval = tok.next_int()
     if maxval != 255:
         raise MalformedHeader(f"only maxval 255 is supported, got {maxval}")
-    payload = data[tok.start_of_payload():]
-    expected = 3 * width * height
-    if len(payload) < expected:
-        raise TruncatedPayload(f"need {expected} payload bytes, found {len(payload)}")
-    if len(payload) > expected:
-        raise MalformedHeader(f"{len(payload) - expected} trailing bytes after payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RgbImage(pixels)
+    return RgbImage(_payload(tok, 3 * width * height).reshape(height, width, 3))
 
 
 def write_rgb_image(img: RgbImage) -> bytes:
     """Encode to canonical P6: single-space header fields, no comments."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, img.pixels))
 
 
 def read_watermark(data: bytes) -> WatermarkBitmap:
     """Decode a 32x32 PBM (P1 ascii or P4 binary), inverting ink to white=1."""
-    tok = _Tokenizer(data)
-    magic = tok.next_token()
-    if magic not in (b"P1", b"P4"):
-        raise MalformedHeader(f"expected magic P1 or P4, got {magic!r}")
-    width = tok.next_int()
-    height = tok.next_int()
-    if width < 1 or height < 1:
-        raise MalformedHeader(f"bad dimensions {width}x{height}")
+    tok, magic, width, height = _read_header(data, (b"P1", b"P4"))
     if (width, height) != (WATERMARK_SIDE, WATERMARK_SIDE):
         raise WrongDimensions(f"watermark must be 32x32, got {width}x{height}")
-
     if magic == b"P1":
         ink = _read_p1_digits(tok)
     else:
-        payload = data[tok.start_of_payload():]
-        row_bytes = WATERMARK_SIDE // 8
-        expected = row_bytes * WATERMARK_SIDE
-        if len(payload) < expected:
-            raise MalformedHeader(f"need {expected} payload bytes, found {len(payload)}")
-        if len(payload) > expected:
-            raise MalformedHeader(f"{len(payload) - expected} trailing bytes after payload")
-        packed = np.frombuffer(payload, dtype=np.uint8)
+        packed = _payload(tok, WATERMARK_BITS // 8)
         ink = np.unpackbits(packed).reshape(WATERMARK_SIDE, WATERMARK_SIDE)
     return WatermarkBitmap(1 - ink)  # PBM 1 = black ink; stored 1 = white
 

@@ -78,11 +78,10 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
 
 def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     """One pass of log(delta + Y): the (grid_rows, grid_cols) candidate mask
-    and the whole-image mean log."""
+    and the whole-image mean log. Overwrites ``y`` with the logs."""
     _check_finite_positive("delta", delta)
     grid_cols, grid_rows = partition_grid(y.shape[1], y.shape[0])
-    logs = np.add(y, delta)
-    np.log(logs, out=logs)
+    logs = np.log(np.add(y, delta, out=y), out=y)
     image_log_mean = float(logs.mean())
     block_log_means = (
         logs[: grid_rows * BLOCK_SIZE, : grid_cols * BLOCK_SIZE]
@@ -93,9 +92,10 @@ def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
 
 
 def _y_plane(img: RgbImage | YcbcrImage) -> np.ndarray:
-    """An RgbImage's Y through ``luminance`` alone, without building chroma;
-    a YcbcrImage's Y plane as it is."""
-    return luminance(img.pixels) if isinstance(img, RgbImage) else img.y
+    """A writable Y plane for ``_log_stats``: an RgbImage's through
+    ``luminance`` alone, without building chroma; a copy of a YcbcrImage's
+    read-only plane."""
+    return luminance(img.pixels) if isinstance(img, RgbImage) else img.y.copy()
 
 
 def candidate_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> set[BlockRef]:

@@ -13,6 +13,7 @@ plane on its own, where the library fuses the three planes per row strip.
 
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,23 @@ def subprocess_env() -> dict[str, str]:
     child interpreter imports this lumamark without an install."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes allocated while it ran, result
+    included, as tracemalloc counts them (numpy reports its buffers to it)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def gray_image(value: int, width: int = 512, height: int = 512) -> RgbImage:

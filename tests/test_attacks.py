@@ -12,7 +12,7 @@ from lumamark.attacks import (
     grayscale_attack,
     quant_steps,
 )
-from lumamark.colorspace import rgb_to_ycbcr
+from lumamark.colorspace import rgb_to_ycbcr, round_half_away
 from lumamark.errors import RectOutOfBounds
 from lumamark.metrics import psnr
 from lumamark.pixmap import RgbImage
@@ -73,6 +73,22 @@ class TestGrayscaleAttack:
     def test_idempotent(self, corpus):
         once = grayscale_attack(corpus["fine_texture"])
         assert grayscale_attack(once) == once
+
+    def test_exact_half_ties_use_the_element_wise_weights(self):
+        # The 16,782 triples whose Y = (299r + 587g + 114b) / 1000 is an exact
+        # half. ``luminance`` rounds 2529 of them the other way, and
+        # ``pixels_to_ycc`` more, so switching to either fails here.
+        g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        ties = []
+        for r in range(256):
+            tie = (299 * r + 587 * g + 114 * b) % 1000 == 500
+            ties.append(np.stack(np.broadcast_arrays(r, g[tie], b[tie]), axis=-1))
+        px = np.concatenate(ties).astype(np.uint8)[np.newaxis]
+        assert px.shape == (1, 16782, 3)
+        r, g, b = px[:, :, 0], px[:, :, 1], px[:, :, 2]
+        expected = round_half_away(r * 0.299 + g * 0.587 + b * 0.114)
+        out = grayscale_attack(RgbImage(px)).pixels
+        assert np.array_equal(out, np.repeat(expected[..., np.newaxis], 3, axis=-1))
 
     def test_luminance_changes_by_rounding_only(self, corpus):
         for img in corpus.values():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from lumamark import cli, errors
 from lumamark.cli import main
 from lumamark.pixmap import (
     read_rgb_image,
@@ -238,6 +239,30 @@ class TestMetricsCommand:
         out = capsys.readouterr().out.splitlines()
         assert "sigma=0.000" in out
         assert "matched=false" in out
+
+
+_TOOLKIT_ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.LumamarkError)
+]
+_FORMAT_ERRORS = {errors.MalformedHeader, errors.TruncatedPayload, errors.WrongDimensions}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "cls", [*_TOOLKIT_ERRORS, OSError, ValueError], ids=lambda cls: cls.__name__
+    )
+    def test_exit_code_follows_error_class(self, cls, monkeypatch, capsys):
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_metrics", fail)
+        expected = 1 if cls in _FORMAT_ERRORS | {OSError, ValueError} else 2
+        assert main(["metrics", "a.ppm", "b.ppm"]) == expected
+        assert capsys.readouterr().err == f"error: {cls.__name__}: boom\n"
+
+    def test_format_errors_are_exactly_the_value_errors(self):
+        assert {cls for cls in _TOOLKIT_ERRORS if issubclass(cls, ValueError)} == _FORMAT_ERRORS
 
 
 class TestReportCommand:

@@ -13,7 +13,7 @@ from lumamark.pixmap import (
     write_watermark,
 )
 
-from support import random_bitmap, random_image
+from support import random_bitmap, random_image, traced_peak
 
 
 class TestReadRgbImage:
@@ -52,6 +52,12 @@ class TestReadRgbImage:
         img = read_rgb_image(b"P6\n1 1\n255\n" + bytes([0x0A, 0x20, 0x23]))
         assert img.pixels.tolist() == [[[0x0A, 0x20, 0x23]]]
 
+    def test_mutable_buffer_is_not_shared(self):
+        data = bytearray(b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
+        img = read_rgb_image(data)
+        data[-6:] = bytes(6)
+        assert img.pixels.tolist() == [[[1, 2, 3], [4, 5, 6]]]
+
 
 class TestWriteRgbImage:
     def test_canonical_1x1(self):
@@ -62,6 +68,11 @@ class TestWriteRgbImage:
         img = RgbImage(np.zeros((512, 512, 3), dtype=np.uint8))
         data = write_rgb_image(img)
         assert len(data) - len(b"P6\n512 512\n255\n") == 786432
+
+    def test_fortran_ordered_pixels_round_trip(self):
+        pixels = np.arange(4 * 5 * 3, dtype=np.uint8).reshape(4, 5, 3)
+        data = write_rgb_image(RgbImage(np.asfortranarray(pixels)))
+        assert data == b"P6\n5 4\n255\n" + pixels.tobytes()
 
     def test_comments_never_emitted(self):
         img = read_rgb_image(b"P6 #c\n1 1\n255\n" + bytes(3))
@@ -113,7 +124,7 @@ class TestReadWatermark:
             read_watermark(b"P1\n32 32\n" + b"0" * 1025)
 
     def test_p4_short_payload(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(TruncatedPayload):
             read_watermark(b"P4\n32 32\n" + b"\x00" * 127)
 
     def test_p4_trailing_bytes(self):
@@ -123,6 +134,26 @@ class TestReadWatermark:
     def test_bad_magic(self):
         with pytest.raises(MalformedHeader):
             read_watermark(b"P2\n32 32\n" + b"0" * 1024)
+
+    def test_p4_mutable_buffer_is_not_shared(self):
+        data = bytearray(b"P4\n32 32\n" + b"\xff" * 128)
+        w = read_watermark(data)
+        data[-128:] = bytes(128)
+        assert w.bits.max() == 0
+
+
+class TestCopyBudgets:
+    """Reading or writing a P6 file allocates its payload once, not twice."""
+
+    def test_read_allocates_one_payload(self):
+        data = write_rgb_image(random_image(np.random.default_rng(3), 1024, 1024))
+        _, peak = traced_peak(read_rgb_image, data)
+        assert peak <= 1.5 * 1024 * 1024 * 3
+
+    def test_write_allocates_one_payload(self):
+        img = random_image(np.random.default_rng(3), 1024, 1024)
+        _, peak = traced_peak(write_rgb_image, img)
+        assert peak <= 1.5 * 1024 * 1024 * 3
 
 
 class TestWriteWatermark:

@@ -27,7 +27,9 @@ from support import (
     candidate_oracle,
     edit_plan_field,
     log_avg_oracle,
+    random_image,
     spiral_oracle,
+    traced_peak,
     ycc_from_y,
 )
 
@@ -188,6 +190,11 @@ class TestSelectBlocks:
         assert list(plan.blocks) == spiral_order(64, 64)[:16]
         assert plan.grid_cols == plan.grid_rows == 64
         assert plan.image_log_avg == pytest.approx(128.0001, rel=1e-9)
+
+    def test_rgb_selection_allocates_one_y_plane(self):
+        img = random_image(np.random.default_rng(5), 512, 512)
+        _, peak = traced_peak(select_blocks, img)
+        assert peak <= 1.5 * 512 * 512 * 8
 
     def test_exactly_15_candidates_is_insufficient(self):
         # 5x5 grid: 15 bright blocks, 10 dark ones.
