@@ -21,14 +21,15 @@ def run_grid(name, logo):
     marked = embed(image, logo)
     keep = center_keep_rect(image.width, image.height)
     rows = [
-        ("no change", marked, f"{psnr(image, marked):.3f}"),
-        ("crop (keep center)", crop_attack(marked, keep), f"{psnr(image, crop_attack(marked, keep)):.3f}"),
-        ("compress q=0.75", compress_attack(marked, 0.75), f"{psnr(image, compress_attack(marked, 0.75)):.3f}"),
-        ("grayscale", grayscale_attack(marked), "-"),
+        ("no change", marked, True),
+        ("crop (keep center)", crop_attack(marked, keep), True),
+        ("compress q=0.75", compress_attack(marked, 0.75), True),
+        ("grayscale", grayscale_attack(marked), False),
     ]
     print(f"{name} ({image.width}x{image.height})")
     print(f"  {'test':<20} {'psnr_db':>8} {'sigma':>6} {'matched':>8}")
-    for label, attacked, psnr_text in rows:
+    for label, attacked, with_psnr in rows:
+        psnr_text = f"{psnr(image, attacked):.3f}" if with_psnr else "-"
         sigma = similarity(logo, extract(image, attacked))
         print(f"  {label:<20} {psnr_text:>8} {sigma:6.3f} {str(decide(sigma)).lower():>8}")
     print()

@@ -3,15 +3,15 @@
 Exit codes: 0 success, 1 I/O or file-format trouble (``OSError`` and
 ``ValueError``, which the file-format errors subclass), 2 every other
 toolkit error (image too small, not enough candidate blocks, dimension
-mismatch) and invalid usage. Output files are written to a temporary name
-and renamed into place, so a failing run never leaves a partial file behind.
+mismatch) and invalid usage. Each command reads all of its inputs, then
+computes, then writes; each output goes to a temporary name and is renamed
+into place, so a failing run leaves no output file behind.
 """
 
 import argparse
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import attacks, codec, metrics, pixmap, selection
@@ -51,13 +51,12 @@ def _crop_arg(text: str) -> attacks.CropRect:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    # os.open applies the umask itself, as open() does, so the file gets the
+    # mode a plain open() would give it.
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -65,14 +64,13 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _check_paths(inputs, outputs):
-    for p in inputs:
-        if not Path(p).is_file():
-            raise OSError(f"input file not found: {p}")
-    for p in outputs:
-        parent = Path(p).parent
-        if str(parent) and not parent.is_dir():
-            raise OSError(f"output directory not found: {parent}")
+def _check_outputs(*paths) -> None:
+    """Fail before any work when an output cannot be renamed into place."""
+    for p in map(Path, paths):
+        if p.is_dir():
+            raise IsADirectoryError(f"output is a directory: {p}")
+        if not p.parent.is_dir():
+            raise FileNotFoundError(f"output directory not found: {p.parent}")
 
 
 def _read_image(path) -> pixmap.RgbImage:
@@ -87,45 +85,50 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}" if math.isfinite(value) else "inf"
 
 
-def cmd_embed(args) -> int:
-    outputs = [args.output] + ([args.dump_plan] if args.dump_plan else [])
-    _check_paths([args.original, args.watermark], outputs)
+def _embed(args):
+    """Read the original and the watermark, select at --delta, embed at --alpha."""
     original = _read_image(args.original)
     watermark = _read_watermark(args.watermark)
     plan = selection.select_blocks(original, args.delta)
-    marked = codec.embed(original, watermark, args.alpha, plan=plan)
+    return original, watermark, plan, codec.embed(original, watermark, args.alpha, plan=plan)
+
+
+def _print_match(reference, extracted) -> None:
+    sigma = metrics.similarity(reference, extracted)
+    print(f"sigma={_fmt(sigma)}")
+    print(f"matched={str(metrics.decide(sigma)).lower()}")
+
+
+def cmd_embed(args) -> int:
+    _check_outputs(*filter(None, (args.output, args.dump_plan)))
+    original, _, plan, marked = _embed(args)
+    psnr_db = metrics.psnr(original, marked)
     _write_atomic(Path(args.output), pixmap.write_rgb_image(marked))
     if args.dump_plan:
         _write_atomic(Path(args.dump_plan), selection.serialize_plan(plan).encode("ascii"))
-    print(f"psnr_db={_fmt(metrics.psnr(original, marked))}")
+    print(f"psnr_db={_fmt(psnr_db)}")
     print(selection.plan_summary(plan))
     return 0
 
 
 def cmd_extract(args) -> int:
-    inputs = [args.original, args.watermarked]
-    if args.reference:
-        inputs.append(args.reference)
-    if args.use_plan:
-        inputs.append(args.use_plan)
-    _check_paths(inputs, [args.output])
+    _check_outputs(args.output)
     original = _read_image(args.original)
     watermarked = _read_image(args.watermarked)
+    reference = _read_watermark(args.reference) if args.reference else None
     if args.use_plan:
         plan = selection.parse_plan(Path(args.use_plan).read_text("ascii"))
     else:
         plan = selection.select_blocks(original, args.delta)
     extracted = codec.extract(original, watermarked, plan=plan)
     _write_atomic(Path(args.output), pixmap.write_watermark(extracted))
-    if args.reference:
-        sigma = metrics.similarity(_read_watermark(args.reference), extracted)
-        print(f"sigma={_fmt(sigma)}")
-        print(f"matched={str(metrics.decide(sigma)).lower()}")
+    if reference is not None:
+        _print_match(reference, extracted)
     return 0
 
 
 def cmd_attack(args) -> int:
-    _check_paths([args.input], [args.output])
+    _check_outputs(args.output)
     img = _read_image(args.input)
     if args.crop is not None:
         attacked = attacks.crop_attack(img, args.crop)
@@ -138,27 +141,17 @@ def cmd_attack(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    inputs = [args.reference, args.test]
-    if args.bitmaps:
-        inputs.extend(args.bitmaps)
-    _check_paths(inputs, [])
-    print(f"psnr_db={_fmt(metrics.psnr(_read_image(args.reference), _read_image(args.test)))}")
-    if args.bitmaps:
-        sigma = metrics.similarity(
-            _read_watermark(args.bitmaps[0]), _read_watermark(args.bitmaps[1])
-        )
-        print(f"sigma={_fmt(sigma)}")
-        print(f"matched={str(metrics.decide(sigma)).lower()}")
+    reference, test = _read_image(args.reference), _read_image(args.test)
+    bitmaps = [_read_watermark(p) for p in args.bitmaps or ()]
+    print(f"psnr_db={_fmt(metrics.psnr(reference, test))}")
+    if bitmaps:
+        _print_match(*bitmaps)
     return 0
 
 
 def cmd_report(args) -> int:
     """Run the full attack grid and emit one CSV row per test."""
-    _check_paths([args.original, args.watermark], [])
-    original = _read_image(args.original)
-    watermark = _read_watermark(args.watermark)
-    plan = selection.select_blocks(original, args.delta)
-    marked = codec.embed(original, watermark, args.alpha, plan=plan)
+    original, watermark, plan, marked = _embed(args)
     keep = attacks.center_keep_rect(original.width, original.height)
     grid = [
         ("no-change", marked, True),
@@ -183,12 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("embed", help="embed a watermark into a P6 image")
-    p.add_argument("original", help="cover image (P6)")
-    p.add_argument("watermark", help="32x32 watermark (P1/P4)")
+    embedding = argparse.ArgumentParser(add_help=False)  # shared by embed and report
+    embedding.add_argument("original", help="cover image (P6)")
+    embedding.add_argument("watermark", help="32x32 watermark (P1/P4)")
+    embedding.add_argument("--alpha", type=_alpha_arg, default=codec.DEFAULT_ALPHA)
+    embedding.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
+
+    p = sub.add_parser("embed", parents=[embedding],
+                       help="embed a watermark into a P6 image")
     p.add_argument("output", help="watermarked image to write (P6)")
-    p.add_argument("--alpha", type=_alpha_arg, default=codec.DEFAULT_ALPHA)
-    p.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
     p.add_argument("--dump-plan", metavar="PATH", help="also write the selection plan")
     p.set_defaults(func=cmd_embed)
 
@@ -221,11 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report similarity between two watermarks")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("report", help="embed, attack, extract: CSV of the whole grid")
-    p.add_argument("original", help="cover image (P6)")
-    p.add_argument("watermark", help="32x32 watermark (P1/P4)")
-    p.add_argument("--alpha", type=_alpha_arg, default=codec.DEFAULT_ALPHA)
-    p.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
+    p = sub.add_parser("report", parents=[embedding],
+                       help="embed, attack, extract: CSV of the whole grid")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -45,6 +45,13 @@ def _plan_for(original: RgbImage, plan: SelectionPlan | None) -> SelectionPlan:
     return plan
 
 
+def _decode(original_carriers: np.ndarray, marked_carriers: np.ndarray) -> np.ndarray:
+    """One bit per carrier, as uint8: 1 (white) where the marked Y is at least
+    the original's, so a difference of exactly zero decodes white."""
+    diff = pixels_to_ycc(marked_carriers)[:, 0] - pixels_to_ycc(original_carriers)[:, 0]
+    return (diff >= 0).astype(np.uint8)
+
+
 def embed(
     original: RgbImage,
     watermark: WatermarkBitmap,
@@ -72,18 +79,16 @@ def embed(
     if alpha < 2:
         warnings.warn("alpha=1 leaves no headroom for reconstruction rounding", stacklevel=2)
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
-    ycc = pixels_to_ycc(original.pixels[ys, xs])
-    y = ycc[:, 0].copy()
-    white = watermark.bits.reshape(-1) == 1
-    ycc[:, 0] += np.where(white, alpha, -alpha)
+    carriers = original.pixels[ys, xs]
+    ycc = pixels_to_ycc(carriers)
+    bits = watermark.bits.reshape(-1)
+    ycc[:, 0] += np.where(bits == 1, alpha, -alpha)
     marked = ycc_to_pixels(ycc)
-    # The same carrier arithmetic extract uses, so this counts exactly the
-    # carriers that decode wrong.
-    realised = pixels_to_ycc(marked)[:, 0] - y
-    wrong = int(np.count_nonzero((realised >= 0) != white))
+    # extract's own decoding, so this counts exactly the carriers it reads wrong.
+    wrong = int(np.count_nonzero(_decode(carriers, marked) != bits))
     if wrong:
         warnings.warn(
-            f"{wrong} of {white.size} carriers cannot carry their bit: after rounding "
+            f"{wrong} of {bits.size} carriers cannot carry their bit: after rounding "
             "and clamping to [0, 255] their luminance change has the wrong sign, so "
             "extraction reads them wrong",
             RuntimeWarning,
@@ -110,9 +115,5 @@ def extract(
             f"watermarked is {watermarked.width}x{watermarked.height}"
         )
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
-    diff = (
-        pixels_to_ycc(watermarked.pixels[ys, xs])[:, 0]
-        - pixels_to_ycc(original.pixels[ys, xs])[:, 0]
-    )
-    bits = (diff >= 0).astype(np.uint8).reshape(32, 32)
-    return WatermarkBitmap(bits)
+    bits = _decode(original.pixels[ys, xs], watermarked.pixels[ys, xs])
+    return WatermarkBitmap(bits.reshape(32, 32))

@@ -11,6 +11,7 @@ from .errors import MalformedHeader, TruncatedPayload, WrongDimensions
 
 WATERMARK_SIDE = 32
 WATERMARK_BITS = WATERMARK_SIDE * WATERMARK_SIDE
+_WHITESPACE = b" \t\n\r\v\f"  # the PNM header separators
 
 
 class RgbImage:
@@ -74,9 +75,6 @@ class WatermarkBitmap:
         """(32, 32) uint8 of {0, 1}, read-only."""
         return self._bits
 
-    def complement(self) -> "WatermarkBitmap":
-        return WatermarkBitmap(1 - self._bits)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WatermarkBitmap):
             return NotImplemented
@@ -101,14 +99,14 @@ class _Tokenizer:
             if c == 0x23:  # '#'
                 while i < n and data[i] not in (0x0A, 0x0D):
                     i += 1
-            elif c in (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C):
+            elif c in _WHITESPACE:
                 i += 1
             else:
                 break
         if i >= n:
             raise MalformedHeader("unexpected end of header")
         start = i
-        while i < n and data[i] not in (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C, 0x23):
+        while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
             i += 1
         self.pos = i
         return data[start:i]
@@ -123,7 +121,7 @@ class _Tokenizer:
         # Binary payload begins after exactly one whitespace byte.
         if self.pos >= len(self.data):
             raise MalformedHeader("missing payload separator")
-        if self.data[self.pos] not in (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C):
+        if self.data[self.pos] not in _WHITESPACE:
             raise MalformedHeader("header not followed by whitespace")
         return self.pos + 1
 
@@ -197,7 +195,7 @@ def _read_p1_digits(tok: _Tokenizer) -> np.ndarray:
         if invalid:
             raise MalformedHeader(f"invalid P1 pixel byte {invalid[:1]!r}")
         digits += token
-    if len(digits) > WATERMARK_BITS or tok.data[tok.pos:].strip(b" \t\r\n\x0b\x0c"):
+    if len(digits) > WATERMARK_BITS or tok.data[tok.pos:].strip(_WHITESPACE):
         raise MalformedHeader("trailing data after P1 pixels")
     ink = np.frombuffer(digits, dtype=np.uint8) - ord("0")
     return ink.reshape(WATERMARK_SIDE, WATERMARK_SIDE)

@@ -13,7 +13,7 @@ from lumamark.attacks import center_keep_rect, compress_attack, crop_attack, gra
 from lumamark.codec import embed, extract
 from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.metrics import decide, psnr, similarity
-from lumamark.pixmap import RgbImage
+from lumamark.pixmap import RgbImage, WatermarkBitmap
 from lumamark.selection import DEFAULT_DELTA, TIE_TOLERANCE, select_blocks, spiral_order
 
 from support import (
@@ -123,7 +123,7 @@ def test_criterion_8_colorspace_regression():
 def test_criterion_9_metrics_unit_checks(logo):
     with criterion(9, "similarity edges, PSNR infinity sentinel, 62.67 dB fixture"):
         assert similarity(logo, logo) == 1.0
-        assert similarity(logo, logo.complement()) == 0.0
+        assert similarity(logo, WatermarkBitmap(1 - logo.bits)) == 0.0
         img = gray_image(90, 64, 64)
         assert psnr(img, img) == math.inf
         pixels = np.full((512, 512, 3), 100, dtype=np.uint8)

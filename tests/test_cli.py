@@ -8,6 +8,7 @@ import pytest
 from lumamark import cli, errors
 from lumamark.cli import main
 from lumamark.pixmap import (
+    WatermarkBitmap,
     read_rgb_image,
     read_watermark,
     write_rgb_image,
@@ -100,6 +101,24 @@ class TestEmbedCommand:
         for path in (marked, plan):
             assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_writes_without_touching_the_umask(self, paths, tmp_path, monkeypatch):
+        def umask(mask):
+            raise AssertionError("the process umask is shared by every thread")
+
+        monkeypatch.setattr(os, "umask", umask)
+        assert main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"),
+                     "--dump-plan", str(tmp_path / "plan.txt")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ppm", "plan.txt"]
+
+    def test_dump_plan_into_a_directory_writes_nothing(self, paths, tmp_path, capsys):
+        (tmp_path / "plans").mkdir()
+        code = main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"),
+                     "--dump-plan", str(tmp_path / "plans")])
+        assert code == 1
+        assert "IsADirectoryError" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["plans"]
+        assert not list((tmp_path / "plans").iterdir())
+
 
 class TestExtractCommand:
     def test_embed_then_extract_matches(self, paths, tmp_path, capsys):
@@ -120,6 +139,15 @@ class TestExtractCommand:
         out = tmp_path / "w.pbm"
         assert main(["extract", paths["img"], paths["img"], str(out)]) == 0
         assert read_watermark(out.read_bytes()).bits.min() == 1
+
+    def test_bad_reference_writes_nothing(self, paths, tmp_path, capsys):
+        bad = tmp_path / "bad.pbm"
+        bad.write_bytes(b"P1\n16 16\n" + b"0" * 256)
+        out = tmp_path / "w.pbm"
+        code = main(["extract", paths["img"], paths["img"], str(out), "--reference", str(bad)])
+        assert code == 1
+        assert "WrongDimensions" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_exits_2(self, paths, tmp_path, capsys):
         narrow = tmp_path / "narrow.ppm"
@@ -233,7 +261,7 @@ class TestMetricsCommand:
         inverted = tmp_path / "inv.pbm"
         with open(paths["logo"], "rb") as fh:
             logo = read_watermark(fh.read())
-        inverted.write_bytes(write_watermark(logo.complement()))
+        inverted.write_bytes(write_watermark(WatermarkBitmap(1 - logo.bits)))
         assert main(["metrics", paths["img"], paths["img"],
                      "--bitmaps", paths["logo"], str(inverted)]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -263,6 +291,24 @@ class TestExitCodes:
 
     def test_format_errors_are_exactly_the_value_errors(self):
         assert {cls for cls in _TOOLKIT_ERRORS if issubclass(cls, ValueError)} == _FORMAT_ERRORS
+
+    @pytest.mark.parametrize("command", ["embed", "extract", "attack", "metrics", "report"])
+    def test_missing_input_exits_1_and_writes_nothing(self, paths, tmp_path, capsys, command):
+        # The missing file is the last input each command reads.
+        missing = str(tmp_path / "missing")
+        out = str(tmp_path / "out")
+        argv = {
+            "embed": [paths["img"], missing, out, "--dump-plan", str(tmp_path / "plan.txt")],
+            "extract": [paths["img"], paths["img"], out, "--reference", missing],
+            "attack": [missing, out, "--grayscale"],
+            "metrics": [paths["img"], paths["img"], "--bitmaps", paths["logo"], missing],
+            "report": [paths["img"], missing],
+        }[command]
+        assert main([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: FileNotFoundError: ")
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
 
 class TestReportCommand:

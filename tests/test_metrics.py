@@ -82,7 +82,7 @@ class TestSimilarity:
         assert similarity(logo, logo) == 1.0
 
     def test_complement_is_zero(self, logo):
-        assert similarity(logo, logo.complement()) == 0.0
+        assert similarity(logo, WatermarkBitmap(1 - logo.bits)) == 0.0
 
     def test_half_agreement(self):
         a = WatermarkBitmap(np.zeros((32, 32), dtype=np.uint8))
@@ -96,7 +96,8 @@ class TestSimilarity:
         a = random_bitmap(np.random.default_rng(seed_a))
         b = random_bitmap(np.random.default_rng(seed_b))
         assert similarity(a, b) == similarity(b, a)
-        assert similarity(a, b) == pytest.approx(1.0 - similarity(a, b.complement()), abs=1e-12)
+        complement = WatermarkBitmap(1 - b.bits)
+        assert similarity(a, b) == pytest.approx(1.0 - similarity(a, complement), abs=1e-12)
 
     def test_random_pairs_concentrate_at_half(self):
         # Binomial(1024, 0.5): per-pair sd is about 0.0156, so the mean of

