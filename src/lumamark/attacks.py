@@ -4,16 +4,35 @@ The compression attack is a JPEG-style quantization pipeline, not a JPEG
 codec: every full 8x8 block of every Y/Cb/Cr plane is DCT-transformed,
 quantized against the standard luminance table scaled by the quality
 setting, and transformed back. It is bit-reproducible across platforms,
-which a real encoder would not be. It runs over strips of whole block
-rows, so each strip's planes stay in cache.
+which a real encoder would not be.
+
+Its bytes are those of the exact path, ``_exact_blocks``: the colour
+matrices, scipy's FFT ``dctn``/``idctn`` and ``round_half_away``. The attack
+gets them faster, a strip of whole block rows at a time, from matrix
+arithmetic: one 3x3 product per colour conversion and two products with the
+8x8 DCT matrix per transform. The two paths differ by rounding noise under
+``_ERROR_BOUND``, derived from the values' magnitudes and the operation
+counts. Noise can change a byte only through a value that gets rounded: a
+coefficient over its step, or a pre-rounding RGB value. So every block with
+such a value within ``_EPS`` (a margin over the bound) of a half-integer is
+recomputed by the exact path, and no other block can round differently from
+it: a filter with an exact fallback, as in Shewchuk's robust geometric
+predicates (1997).
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dct, dctn, idctn
 
-from .colorspace import RGB_TO_YCC, STRIP_ROWS, pixels_to_ycc, round_half_away, ycc_to_pixels
+from .colorspace import (
+    RGB_TO_YCC,
+    STRIP_ROWS,
+    YCC_TO_RGB,
+    pixels_to_ycc,
+    round_half_away,
+    ycc_to_pixels,
+)
 from .errors import RectOutOfBounds
 from .pixmap import RgbImage
 from .selection import BLOCK_SIZE
@@ -50,7 +69,7 @@ def crop_attack(img: RgbImage, keep: CropRect) -> RgbImage:
         )
     out = np.zeros_like(img.pixels)
     out[y : y + h, x : x + w] = img.pixels[y : y + h, x : x + w]
-    return RgbImage(out)
+    return RgbImage._adopt(out)
 
 
 def grayscale_attack(img: RgbImage) -> RgbImage:
@@ -58,11 +77,18 @@ def grayscale_attack(img: RgbImage) -> RgbImage:
     # Element-wise, not ``luminance``: its matrix-vector product rounds
     # differently, and 2529 of the 16,782 RGB triples whose Y is an exact
     # half (299r + 587g + 114b = 500 mod 1000) would then round the other way.
+    # Strip by strip, so the float temporaries stay strip-sized and the
+    # output is the only whole-image allocation.
     wr, wg, wb = RGB_TO_YCC[0]
-    px = img.pixels
-    g = px[:, :, 0] * wr + px[:, :, 1] * wg + px[:, :, 2] * wb
-    g = np.clip(round_half_away(g), 0, 255, out=g).astype(np.uint8)
-    return RgbImage(np.stack((g, g, g), axis=-1))
+    out = np.empty_like(img.pixels)
+    for top in range(0, img.height, STRIP_ROWS):
+        px = img.pixels[top : top + STRIP_ROWS]
+        g = px[:, :, 0] * wr + px[:, :, 1] * wg + px[:, :, 2] * wb
+        g = np.clip(round_half_away(g), 0, 255, out=g).astype(np.uint8)
+        # One channel at a time: a broadcast store of all three runs slower.
+        for channel in range(3):
+            out[top : top + STRIP_ROWS, :, channel] = g
+    return RgbImage._adopt(out)
 
 
 def quant_steps(quality: float) -> np.ndarray:
@@ -71,15 +97,47 @@ def quant_steps(quality: float) -> np.ndarray:
     return np.maximum(1.0, scale * LUMA_QUANT_TABLE)
 
 
+# The orthonormal 8-point DCT-II as a matrix, row k the k-th basis vector:
+# _DCT @ x is dct(x, norm="ortho"). Taken from the FFT, whose entries lie
+# within 1.1 ulp of the true cosines; np.cos of the rounded angles errs by
+# up to 16.
+_DCT = dct(np.eye(BLOCK_SIZE), norm="ortho", axis=0)
+
+# |fast - exact| on a quotient or a pre-rounding RGB value. With u = 2**-53,
+# per 8x8 block and plane, in the Frobenius norm (which neither orthonormal
+# transform amplifies):
+# - Input: |Y|, |Cb|, |Cr| <= 1.192 * 255 = 304, the largest row sum of
+#   |RGB_TO_YCC| times 255, so a block's norm is at most 8 * 304 = 2432,
+#   the largest DC term. Each colour product errs by at most 3u * 304.
+# - One 8-point pass errs by at most 32u times its input's norm on either
+#   path. The matrix product: 8u * sqrt(8) for dot products of 8 terms with
+#   unit rows, plus 8u for the entries of _DCT, each within 1.1 ulp. The
+#   FFT: Higham's bound for a radix-2 FFT of length up to 16, 4 * 6.7u
+#   (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2).
+# - Quotients: 2 paths x 2 passes x 32u x 2432, plus the colour error
+#   2 x 8 x 3u x 304, over a step >= 1, plus the division's own rounding:
+#   3.7e-11.
+# - RGB: both paths start from the same rounded coefficients, whose block
+#   norm is at most 2432 + |steps / 2| <= 2432 + 1.01 |LUMA_QUANT_TABLE| =
+#   2974. So each plane errs by at most 2 x 2 x 32u x 2974 = 4.2e-11; the
+#   largest row sum of |YCC_TO_RGB|, 3.813, carries that into RGB, and the
+#   colour products add 2 x 3u x 3.813 x 2974: 1.7e-10.
+_ERROR_BOUND = 1.7e-10
+# Unless a fast value lies within _EPS of a half-integer, no half-integer
+# lies between it and the exact value, so both round alike. _EPS is about
+# six times the bound (the measured |fast - exact| is under 1e-12).
+_EPS = 1e-9
+
+
 def compress_attack(img: RgbImage, quality: float) -> RgbImage:
     """Degrade like a lossy encoder would: blockwise DCT quantization.
 
     All three planes share the luminance table; remainder pixels outside the
-    8x8 grid pass through unchanged. Each strip of whole block rows is
-    converted once, transformed by one DCT over all three planes, quantized
-    and converted back. Copying the remainder instead of converting it gives
-    the same bytes, because the colour round trip reproduces every 8-bit
-    triple.
+    8x8 grid pass through unchanged. Copying the remainder instead of
+    converting it gives the same bytes, because the colour round trip
+    reproduces every 8-bit triple. Each strip of whole block rows goes
+    through matrix arithmetic; a block with a quotient or a pre-rounding RGB
+    value within ``_EPS`` of a half-integer is redone by ``_exact_blocks``.
     """
     if not 0.0 < quality <= 1.0:
         raise ValueError("quality must lie in (0, 1]")
@@ -88,24 +146,93 @@ def compress_attack(img: RgbImage, quality: float) -> RgbImage:
     cols = (img.width // BLOCK_SIZE) * BLOCK_SIZE
     out = pixels.copy()
     if rows == 0 or cols == 0:
-        return RgbImage(out)
-    # steps[u, v] laid out as the (u, block column, v, plane) axes of a strip,
-    # so the in-place quantization runs over contiguous rows.
-    steps = np.broadcast_to(
-        quant_steps(quality)[:, np.newaxis, :, np.newaxis],
-        (BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE, 3),
-    ).copy()
+        return RgbImage._adopt(out)
+    # steps[u, v] repeated along each row of blocks, as (u, x).
+    row_steps = np.tile(quant_steps(quality), cols // BLOCK_SIZE)
+    # Two strip buffers that every strip reuses.
+    size = 3 * STRIP_ROWS * cols
+    buf_a, buf_b = np.empty(size), np.empty(size)
     for top in range(0, rows, STRIP_ROWS):
         bottom = min(top + STRIP_ROWS, rows)
-        ycc = pixels_to_ycc(pixels[top:bottom, :cols])
-        blocks = ycc.reshape(-1, BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE, 3)
-        coeffs = dctn(blocks, type=2, norm="ortho", axes=(1, 3))
-        coeffs /= steps
-        coeffs = round_half_away(coeffs)
-        coeffs *= steps
-        restored = idctn(coeffs, type=2, norm="ortho", axes=(1, 3))
-        out[top:bottom, :cols] = ycc_to_pixels(restored.reshape(bottom - top, cols, 3))
-    return RgbImage(out)
+        used = 3 * (bottom - top) * cols
+        strip = (slice(top, bottom), slice(0, cols))
+        _compress_strip(pixels[strip], out[strip], row_steps, buf_a[:used], buf_b[:used])
+    return RgbImage._adopt(out)
+
+
+def _compress_strip(
+    src: np.ndarray, dst: np.ndarray, row_steps: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> None:
+    """Attack one (h, w, 3) strip of whole blocks from ``src`` into ``dst``:
+    matrix arithmetic in the float buffers ``a`` and ``b``, then
+    ``_exact_blocks`` over every block with a value near a rounding tie."""
+    height, width = src.shape[:2]
+    block_rows, block_cols = height // BLOCK_SIZE, width // BLOCK_SIZE
+    a = a.reshape(3 * block_rows, BLOCK_SIZE, width)
+    b = b.reshape(a.shape)
+    _fast_quotients(src, row_steps, a, b)
+    coeffs, near = _round_flagging_ties(a)
+    planes_first = (3, block_rows, BLOCK_SIZE, block_cols, BLOCK_SIZE)
+    _, rows, _, cols, _ = np.unravel_index(near, planes_first)
+    redo = np.zeros((block_rows, block_cols), dtype=bool)
+    redo[rows, cols] = True
+    coeffs *= row_steps
+    rgb = a.reshape(height, width, 3)
+    _fast_rgb(coeffs, rgb)
+    del coeffs  # so the next rounding can take its memory
+    rgb, near = _round_flagging_ties(rgb)
+    dst[:] = np.clip(rgb, 0, 255, out=rgb)
+    blocks = dst.reshape(block_rows, BLOCK_SIZE, block_cols, BLOCK_SIZE, 3)
+    rows, _, cols, _, _ = np.unravel_index(near, blocks.shape)
+    redo[rows, cols] = True
+    rows, cols = np.nonzero(redo)
+    if rows.size:
+        tied = src.reshape(blocks.shape)[rows, :, cols]
+        blocks[rows, :, cols] = _exact_blocks(tied, row_steps[:, :BLOCK_SIZE])
+
+
+def _fast_quotients(
+    src: np.ndarray, row_steps: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Each DCT coefficient over its step, for every block of an (h, w, 3)
+    uint8 strip, written planes first into ``out`` as (3 h/8, 8, w): one
+    colour product and two products with _DCT. Clobbers ``scratch``."""
+    height, width = src.shape[:2]
+    np.copyto(scratch.reshape(3, height, width), src.transpose(2, 0, 1))
+    np.matmul(RGB_TO_YCC, scratch.reshape(3, -1), out=out.reshape(3, -1))
+    np.matmul(_DCT, out, out=scratch)
+    np.matmul(scratch.reshape(-1, BLOCK_SIZE), _DCT.T, out=out.reshape(-1, BLOCK_SIZE))
+    out /= row_steps
+
+
+def _fast_rgb(coeffs: np.ndarray, out: np.ndarray) -> None:
+    """The pre-rounding RGB of dequantized (3 h/8, 8, w) coefficients, into
+    ``out`` as (h, w, 3): two products with _DCT.T and one colour product.
+    Clobbers ``coeffs``."""
+    ycc = out.reshape(coeffs.shape)
+    np.matmul(_DCT.T, coeffs, out=ycc)
+    np.matmul(ycc.reshape(-1, BLOCK_SIZE), _DCT, out=coeffs.reshape(-1, BLOCK_SIZE))
+    np.matmul(coeffs.reshape(3, -1).T, YCC_TO_RGB.T, out=out.reshape(-1, 3))
+
+
+def _round_flagging_ties(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``round_half_away(x)``, and the flat indices of the values of x that
+    lie within _EPS of a half-integer. Clobbers x."""
+    rounded = round_half_away(x)
+    np.subtract(x, rounded, out=x)
+    return rounded, np.flatnonzero(np.abs(x, out=x) > 0.5 - _EPS)
+
+
+def _exact_blocks(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The arithmetic that defines the attack's bytes, on (n, 8, 8, 3) uint8
+    blocks: the colour matrices, FFT ``dctn``/``idctn`` and
+    ``round_half_away``."""
+    ycc = pixels_to_ycc(blocks)
+    coeffs = dctn(ycc, type=2, norm="ortho", axes=(1, 2))
+    coeffs /= steps[:, :, np.newaxis]
+    coeffs = round_half_away(coeffs)
+    coeffs *= steps[:, :, np.newaxis]
+    return ycc_to_pixels(idctn(coeffs, type=2, norm="ortho", axes=(1, 2)))
 
 
 def center_keep_rect(width: int, height: int) -> CropRect:

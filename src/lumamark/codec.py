@@ -96,7 +96,7 @@ def embed(
         )
     pixels = original.pixels.copy()
     pixels[ys, xs] = marked
-    return RgbImage(pixels)
+    return RgbImage._adopt(pixels)
 
 
 def extract(

@@ -33,6 +33,16 @@ class RgbImage:
         arr.flags.writeable = False
         self._pixels = arr
 
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray) -> "RgbImage":
+        """Wrap a fresh, C-ordered (height, width, 3) uint8 array without
+        copying it. The caller hands it over and never touches it again; it
+        is marked read-only here."""
+        pixels.flags.writeable = False
+        img = cls.__new__(cls)
+        img._pixels = pixels
+        return img
+
     @property
     def pixels(self) -> np.ndarray:
         """(height, width, 3) uint8, read-only."""

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scipy.fft import dctn, idctn
+
+from lumamark import attacks
 from lumamark.attacks import (
     LUMA_QUANT_TABLE,
     CropRect,
@@ -12,14 +15,15 @@ from lumamark.attacks import (
     grayscale_attack,
     quant_steps,
 )
-from lumamark.colorspace import rgb_to_ycbcr, round_half_away
+from lumamark.colorspace import YCC_TO_RGB, pixels_to_ycc, rgb_to_ycbcr, round_half_away
 from lumamark.errors import RectOutOfBounds
 from lumamark.metrics import psnr
 from lumamark.pixmap import RgbImage
 
-from support import dense_compress_attack, gray_image
+from support import dense_compress_attack, gray_image, random_image, traced_peak
 
 QUALITY_LADDER = (1.0, 0.9, 0.75, 0.5, 0.25)
+PAYLOAD_512 = 512 * 512 * 3  # bytes of one 512x512 image's pixels
 
 
 def _mse(a, b):
@@ -137,26 +141,35 @@ class TestCompressAttack:
 class TestCompressDenseOracle:
     """The strip-wise fused attack against whole-image, per-plane DCT."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         width=st.integers(1, 150),
         height=st.integers(1, 150),
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["random", "flat", "few_levels"]),
+        kind=st.sampled_from(["random", "flat", "few_levels", "extremes", "gray"]),
         quality=st.sampled_from([1.0, 0.9, 0.75, 0.5, 0.25, 0.02]),
     )
+    # Always run: without the tie guard (_EPS = 0) its bytes differ.
+    @example(width=16, height=16, seed=0, kind="gray", quality=1.0)
     def test_same_bytes_as_dense(self, width, height, seed, kind, quality):
         # 1-150 px gives sizes under one block, remainder rows and columns,
-        # and a partial last strip.
+        # and a partial last strip. "extremes" drives the clip at 0 and 255.
+        # "gray" (R = G = B) has no chroma, so at fine steps many of its
+        # rebuilt RGB values land exactly on half-integers.
         rng = np.random.default_rng(seed)
         shape = (height, width, 3)
         if kind == "random":
             pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
         elif kind == "flat":
             pixels = np.broadcast_to(rng.integers(0, 256, size=3, dtype=np.uint8), shape).copy()
-        else:
+        elif kind == "few_levels":
             levels = rng.integers(0, 256, size=3, dtype=np.uint8)
             pixels = levels[rng.integers(0, 3, size=shape)]
+        elif kind == "extremes":
+            pixels = np.array([0, 1, 254, 255], dtype=np.uint8)[rng.integers(0, 4, size=shape)]
+        else:
+            y = rng.integers(0, 256, size=(height, width, 1), dtype=np.uint8)
+            pixels = np.repeat(y, 3, axis=2)
         img = RgbImage(pixels)
         assert compress_attack(img, quality) == dense_compress_attack(img, quality)
 
@@ -164,3 +177,89 @@ class TestCompressDenseOracle:
         for img in corpus.values():
             for quality in QUALITY_LADDER:
                 assert compress_attack(img, quality) == dense_compress_attack(img, quality)
+
+
+class TestCompressTieFallback:
+    """Blocks near a rounding tie are recomputed by the exact path."""
+
+    @pytest.mark.parametrize("low", [0, 100])
+    def test_dc_tie_block_takes_the_exact_path(self, monkeypatch, low):
+        # Four pixels of low + 1 in a gray block of low: the Y sum is
+        # 64 low + 4, so the DC term is (64 low + 4) / 8 = 8 low + 0.5, and at
+        # quality 1.0 its step is 1. Its gray neighbours are far from ties.
+        pixels = np.full((16, 16, 3), low, dtype=np.uint8)
+        pixels[0, :4] = low + 1
+        tie = pixels[:8, :8].copy()
+        dc = dctn(pixels_to_ycc(tie)[:, :, 0], type=2, norm="ortho")[0, 0]
+        assert quant_steps(1.0)[0, 0] == 1.0
+        assert dc == pytest.approx(8 * low + 0.5, abs=1e-12)
+        exact = attacks._exact_blocks
+        seen = []
+
+        def spy(blocks, steps):
+            seen.append(blocks.copy())
+            return exact(blocks, steps)
+
+        monkeypatch.setattr(attacks, "_exact_blocks", spy)
+        img = RgbImage(pixels)
+        assert compress_attack(img, 1.0) == dense_compress_attack(img, 1.0)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], tie[np.newaxis])
+
+
+class TestCompressErrorBound:
+    """The matrix path stays within the derived bound of the exact path, and
+    the bound within the guard's margin: a change to the matrices or the
+    strip layout that eats the margin fails here, not as a rare byte flip."""
+
+    @staticmethod
+    def max_errors(img, quality):
+        """max |fast - exact| over the quotients, and over the pre-rounding
+        RGB rebuilt from the same rounded coefficients."""
+        steps = quant_steps(quality)
+        rows, cols = img.height // 8 * 8, img.width // 8 * 8
+        pixels = img.pixels[:rows, :cols]
+        ycc = pixels_to_ycc(pixels).reshape(rows // 8, 8, cols // 8, 8, 3)
+        block_steps = steps[:, np.newaxis, :, np.newaxis]
+        exact_q = dctn(ycc, type=2, norm="ortho", axes=(1, 3)) / block_steps
+        coeffs = round_half_away(exact_q) * block_steps
+        exact_ycc = idctn(coeffs, type=2, norm="ortho", axes=(1, 3)).reshape(rows, cols, 3)
+        exact_rgb = exact_ycc @ YCC_TO_RGB.T
+
+        fast_q = np.empty((3 * rows // 8, 8, cols))
+        attacks._fast_quotients(pixels, np.tile(steps, cols // 8), fast_q, np.empty_like(fast_q))
+        planes_first = coeffs.transpose(4, 0, 1, 2, 3).reshape(fast_q.shape)
+        fast_rgb = np.empty((rows, cols, 3))
+        attacks._fast_rgb(planes_first.copy(), fast_rgb)
+        fast_q = fast_q.reshape(3, rows // 8, 8, cols // 8, 8).transpose(1, 2, 3, 4, 0)
+        return float(np.abs(fast_q - exact_q).max()), float(np.abs(fast_rgb - exact_rgb).max())
+
+    def test_bound_holds_with_margin(self, corpus):
+        rng = np.random.default_rng(11)
+        images = [*corpus.values(), random_image(rng, 200, 136)]
+        extremes = np.array([0, 1, 254, 255], dtype=np.uint8)[rng.integers(0, 4, (96, 96, 3))]
+        images.append(RgbImage(extremes))
+        for img in images:
+            for quality in (1.0, 0.5, 0.001):
+                errors = self.max_errors(img, quality)
+                assert max(errors) < attacks._ERROR_BOUND, (img, quality, errors)
+        assert attacks._ERROR_BOUND < attacks._EPS
+
+
+class TestCopyBudgets:
+    """An attack allocates its output once: no second copy of the result and
+    no whole-image float buffer. Bounds in payloads of a 512x512 image."""
+
+    @pytest.mark.parametrize(
+        "attack, budget",
+        [
+            (lambda img: compress_attack(img, 0.75), 2.75),
+            (lambda img: crop_attack(img, center_keep_rect(512, 512)), 1.1),
+            (grayscale_attack, 1.75),
+        ],
+    )
+    def test_peak(self, attack, budget):
+        img = random_image(np.random.default_rng(4), 512, 512)
+        out, peak = traced_peak(attack, img)
+        assert peak <= budget * PAYLOAD_512
+        assert not out.pixels.flags.writeable

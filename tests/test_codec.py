@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumamark.attacks import compress_attack
-from lumamark.codec import embed, embedded_pixel_coords, extract
+from lumamark.codec import DEFAULT_ALPHA, embed, embedded_pixel_coords, extract
 from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.errors import DimensionMismatch, InsufficientCandidates
 from lumamark.metrics import similarity
@@ -22,6 +22,7 @@ from support import (
     gray_image,
     random_bitmap,
     random_image,
+    traced_peak,
 )
 
 
@@ -117,6 +118,15 @@ class TestEmbed:
     def test_deterministic_output(self, corpus, logo):
         img = corpus["smooth_blobs"]
         assert embed(img, logo) == embed(img, logo)
+
+    def test_with_a_plan_allocates_one_image(self, corpus, logo):
+        # The marked pixels are copied once and adopted, not copied again.
+        img = corpus["smooth_blobs"]
+        plan = select_blocks(img)
+        marked, peak = traced_peak(embed, img, logo, DEFAULT_ALPHA, plan)
+        assert marked == embed(img, logo)
+        assert peak <= 1.25 * img.pixels.nbytes
+        assert not marked.pixels.flags.writeable
 
     def test_clamped_carriers_warn_with_the_count_that_decodes_wrong(self, logo):
         # Black bits cannot push Y below 0: on an all-black image every black
