@@ -35,9 +35,10 @@ class RgbImage:
 
     @classmethod
     def _adopt(cls, pixels: np.ndarray) -> "RgbImage":
-        """Wrap a fresh, C-ordered (height, width, 3) uint8 array without
-        copying it. The caller hands it over and never touches it again; it
-        is marked read-only here."""
+        """Wrap a C-ordered (height, width, 3) uint8 array without copying
+        it: a fresh array that the caller hands over and never touches
+        again, or a view of an immutable ``bytes`` object. It is marked
+        read-only here."""
         pixels.flags.writeable = False
         img = cls.__new__(cls)
         img._pixels = pixels
@@ -153,7 +154,8 @@ def _read_header(data: bytes, magics: tuple[bytes, ...]) -> tuple[_Tokenizer, by
 
 def _payload(tok: _Tokenizer, size: int) -> np.ndarray:
     """The ``size`` payload bytes after the header, viewed in place, not
-    copied. Over a bytearray the view stays writable, so callers copy it."""
+    copied. Over a bytearray the view stays writable, so callers copy any
+    buffer that is not ``bytes``."""
     start = tok.start_of_payload()
     found = len(tok.data) - start
     if found < size:
@@ -169,7 +171,9 @@ def read_rgb_image(data: bytes) -> RgbImage:
     maxval = tok.next_int()
     if maxval != 255:
         raise MalformedHeader(f"only maxval 255 is supported, got {maxval}")
-    return RgbImage(_payload(tok, 3 * width * height).reshape(height, width, 3))
+    pixels = _payload(tok, 3 * width * height).reshape(height, width, 3)
+    # A view of immutable bytes can be adopted; any other buffer is copied.
+    return RgbImage._adopt(pixels) if type(data) is bytes else RgbImage(pixels)
 
 
 def write_rgb_image(img: RgbImage) -> bytes:

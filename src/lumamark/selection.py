@@ -3,6 +3,21 @@
 The 16 blocks that carry the watermark are the first 16 blocks, walking a
 square spiral outward from the grid center, whose log-average luminance is
 at least the log-average luminance of the entire image.
+
+The statistics stream through strips of ``STRIP_ROWS`` rows, so no Y plane
+is built, and they equal the dense plane's ``log(delta + Y).mean()`` and
+block ``.mean(axis=(1, 3))`` bit for bit:
+
+- A strip's Y is the same matrix-vector product per row as ``luminance``,
+  and ``log`` works element by element.
+- A block mean adds in numpy's own order: each block row's 8 logs pairwise,
+  the 8 row sums in turn, then divides by 64 (numpy orders a lone block
+  column differently, so there its own reduce runs).
+- numpy sums the whole plane pairwise, splitting any run longer than 128 at
+  half its length rounded down to a multiple of 8. The split depends only
+  on the length, so every subtree of that tree is ``np.add.reduce`` of its
+  own contiguous run. Leaves of at most ``_LEAF`` logs are reduced as the
+  strips fill them and then combined along the tree.
 """
 
 from collections.abc import Iterator
@@ -12,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .colorspace import YcbcrImage, luminance
+from .colorspace import RGB_TO_YCC, STRIP_ROWS, YcbcrImage
 from .errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
 from .pixmap import RgbImage
 
@@ -76,26 +91,100 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
     return width // BLOCK_SIZE, height // BLOCK_SIZE
 
 
-def _log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
-    """One pass of log(delta + Y): the (grid_rows, grid_cols) candidate mask
-    and the whole-image mean log. Overwrites ``y`` with the logs."""
+# Leaves of numpy's pairwise-sum tree that ``_log_stats`` reduces on their
+# own, in elements. At least numpy's 128-element unrolled block, so numpy
+# never splits a run this short, and small enough that the part of a leaf
+# carried over from one strip to the next is a cache-sized copy.
+_LEAF = 8192
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits a run of ``n`` > 128 elements: half
+    of it, rounded down to a multiple of its 8-way unroll."""
+    half = n // 2
+    return half - half % 8
+
+
+def _pairwise_leaves(n: int) -> Iterator[int]:
+    """In order, the lengths of the runs of at most ``_LEAF`` elements that
+    the pairwise sum of ``n`` elements adds up on its own."""
+    if n <= _LEAF:
+        yield n
+        return
+    half = _pairwise_split(n)
+    yield from _pairwise_leaves(half)
+    yield from _pairwise_leaves(n - half)
+
+
+def _pairwise_total(n: int, leaf_sums: Iterator[float]) -> float:
+    """Combine the sums of ``_pairwise_leaves(n)`` as the pairwise tree does."""
+    if n <= _LEAF:
+        return next(leaf_sums)
+    half = _pairwise_split(n)
+    return _pairwise_total(half, leaf_sums) + _pairwise_total(n - half, leaf_sums)
+
+
+def _block_log_means(logs: np.ndarray, out: np.ndarray) -> None:
+    """Write the means of the 8x8 blocks of ``logs``, whole block rows, into
+    ``out``, bit for bit ``.mean(axis=(1, 3))`` of their 4-d view."""
+    grid_cols = out.shape[1]
+    blocks = logs[:, : grid_cols * BLOCK_SIZE].reshape(-1, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
+    if grid_cols == 1:
+        # numpy sums a lone block column column-first; its reduce is cheap here.
+        out[...] = blocks.mean(axis=(1, 3))
+        return
+    # numpy sums each block row's 8 values pairwise, then the 8 rows in turn.
+    pairs = blocks[..., 0::2] + blocks[..., 1::2]
+    quads = pairs[..., 0::2] + pairs[..., 1::2]
+    row_sums = np.add(quads[..., 0], quads[..., 1], out=pairs[..., 0])
+    np.add.reduce(row_sums, axis=1, out=out)
+    np.divide(out, BLOCK_SIZE * BLOCK_SIZE, out=out)
+
+
+def _log_stats(img: RgbImage | YcbcrImage, delta: float) -> tuple[np.ndarray, float]:
+    """The (grid_rows, grid_cols) candidate mask and the whole-image mean of
+    log(delta + Y), streamed through strips of ``STRIP_ROWS`` rows.
+
+    Each strip's Y and logs go into one reused buffer, after the logs of the
+    previous strip that no leaf of the pairwise tree has taken yet. Every
+    leaf that the buffer then holds whole is reduced, and the rest is moved
+    to its front. No Y plane is built, and both results are bit for bit
+    those of the plane's ``.mean()`` and ``.mean(axis=(1, 3))``.
+    """
     _check_finite_positive("delta", delta)
-    grid_cols, grid_rows = partition_grid(y.shape[1], y.shape[0])
-    logs = np.log(np.add(y, delta, out=y), out=y)
-    image_log_mean = float(logs.mean())
-    block_log_means = (
-        logs[: grid_rows * BLOCK_SIZE, : grid_cols * BLOCK_SIZE]
-        .reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
-        .mean(axis=(1, 3))
-    )
+    width, height = img.width, img.height
+    grid_cols, grid_rows = partition_grid(width, height)
+    n = width * height
+    block_log_means = np.empty((grid_rows, grid_cols))
+    leaves = _pairwise_leaves(n)
+    leaf = next(leaves)
+    leaf_sums = []
+    buffer = np.empty(_LEAF + STRIP_ROWS * width)
+    carried = 0
+    for top in range(0, height, STRIP_ROWS):
+        bottom = min(top + STRIP_ROWS, height)
+        filled = carried + (bottom - top) * width
+        logs = buffer[carried:filled].reshape(bottom - top, width)
+        if isinstance(img, RgbImage):
+            np.matmul(img.pixels[top:bottom], RGB_TO_YCC[0], out=logs)
+        else:
+            logs[...] = img.y[top:bottom]
+        np.log(np.add(logs, delta, out=logs), out=logs)
+        block_bottom = min(bottom, grid_rows * BLOCK_SIZE)
+        if block_bottom > top:
+            _block_log_means(
+                logs[: block_bottom - top],
+                block_log_means[top // BLOCK_SIZE : block_bottom // BLOCK_SIZE],
+            )
+        start = 0
+        while leaf <= filled - start:
+            leaf_sums.append(np.add.reduce(buffer[start : start + leaf]))
+            start += leaf
+            leaf = next(leaves, n + 1)  # past the last leaf: never held whole
+        carried = filled - start
+        buffer[:carried] = buffer[start:filled]
+    image_log_mean = float(_pairwise_total(n, iter(leaf_sums)) / n)
     return block_log_means >= image_log_mean - TIE_TOLERANCE, image_log_mean
-
-
-def _y_plane(img: RgbImage | YcbcrImage) -> np.ndarray:
-    """A writable Y plane for ``_log_stats``: an RgbImage's through
-    ``luminance`` alone, without building chroma; a copy of a YcbcrImage's
-    read-only plane."""
-    return luminance(img.pixels) if isinstance(img, RgbImage) else img.y.copy()
 
 
 def candidate_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> set[BlockRef]:
@@ -105,7 +194,7 @@ def candidate_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -
     and columns that belong to no block. The comparison happens in the log
     domain with TIE_TOLERANCE of slack.
     """
-    is_candidate, _ = _log_stats(_y_plane(img), delta)
+    is_candidate, _ = _log_stats(img, delta)
     rows, cols = np.nonzero(is_candidate)
     return {BlockRef(int(c), int(r)) for r, c in zip(rows, cols)}
 
@@ -149,7 +238,7 @@ def select_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> S
     The spiral walk stops at the 16th candidate.
     """
     grid_cols, grid_rows = partition_grid(img.width, img.height)
-    is_candidate, image_log_mean = _log_stats(_y_plane(img), delta)
+    is_candidate, image_log_mean = _log_stats(img, delta)
     count = int(is_candidate.sum())
     if count < PLAN_BLOCKS:
         raise InsufficientCandidates(f"{count} candidate blocks, need {PLAN_BLOCKS}")
@@ -195,9 +284,12 @@ def parse_plan(text: str) -> SelectionPlan:
     if block_size != BLOCK_SIZE:
         raise ValueError(f"unsupported block size {block_size}")
     blocks = []
-    for ln in lines[5:]:
+    for number, ln in enumerate(lines[5:], start=1):
         col_s, _, row_s = ln.partition(",")
-        blocks.append(BlockRef(int(col_s), int(row_s)))
+        try:
+            blocks.append(BlockRef(int(col_s), int(row_s)))
+        except ValueError as exc:
+            raise ValueError(f"bad plan block line {number}: {ln!r}") from exc
     return SelectionPlan(
         blocks=tuple(blocks),
         grid_cols=grid_cols,

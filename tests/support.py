@@ -6,7 +6,9 @@ lengths, the candidate oracle recomputes every log-average with plain
 math over Python loops, and the dense codec oracle converts and rebuilds
 whole images where the library touches only the carrier pixels. The dense
 PSNR oracle converts both whole images and subtracts their Y planes, where
-the library takes the luminance of the channel difference strip by strip.
+the library takes the luminance of the channel difference strip by strip
+and skips equal strips. The dense log-statistics oracle takes the log of a
+whole Y plane and numpy's means of it, where the library streams strips.
 The dense compression oracle converts whole images and transforms each
 plane on its own, where the library fuses the three planes per row strip.
 """
@@ -125,6 +127,21 @@ def candidate_oracle(y: np.ndarray, delta: float) -> set[tuple[int, int]]:
             if log_mean_oracle(block, delta) >= image_mean - TIE_TOLERANCE:
                 out.add((col, row))
     return out
+
+
+def dense_log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+    """Dense log statistics over a whole Y plane: the block means and the
+    image mean of log(delta + Y), numpy's ``.mean(axis=(1, 3))`` and
+    ``.mean()``, where the library streams strips."""
+    grid_rows, grid_cols = y.shape[0] // BLOCK_SIZE, y.shape[1] // BLOCK_SIZE
+    logs = np.log(delta + y)
+    image_log_mean = float(logs.mean())
+    block_log_means = (
+        logs[: grid_rows * BLOCK_SIZE, : grid_cols * BLOCK_SIZE]
+        .reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
+        .mean(axis=(1, 3))
+    )
+    return block_log_means, image_log_mean
 
 
 def delta_sensitive_image() -> RgbImage:

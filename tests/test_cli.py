@@ -210,6 +210,19 @@ class TestExtractCommand:
         assert f"ValueError: {field} must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_plan_block_line_exits_1(self, paths, tmp_path, capsys):
+        marked, plan_path = tmp_path / "m.ppm", tmp_path / "plan.txt"
+        assert main(["embed", paths["img"], paths["logo"], str(marked),
+                     "--dump-plan", str(plan_path)]) == 0
+        lines = plan_path.read_text().splitlines()
+        lines[5] = "33;32"
+        plan_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "w.pbm"
+        assert main(["extract", paths["img"], str(marked), str(out),
+                     "--use-plan", str(plan_path)]) == 1
+        assert "ValueError: bad plan block line 1: '33;32'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAttackCommand:
     def test_grayscale_fixed_point_byte_identical(self, tmp_path):

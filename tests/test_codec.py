@@ -128,6 +128,12 @@ class TestEmbed:
         assert peak <= 1.25 * img.pixels.nbytes
         assert not marked.pixels.flags.writeable
 
+    def test_without_a_plan_allocates_one_image(self, corpus, logo):
+        # Selection streams its strips, so the marked copy dominates the peak.
+        img = corpus["fine_texture"]
+        _, peak = traced_peak(embed, img, logo)
+        assert peak <= 1.5 * img.pixels.nbytes
+
     def test_clamped_carriers_warn_with_the_count_that_decodes_wrong(self, logo):
         # Black bits cannot push Y below 0: on an all-black image every black
         # carrier clamps back to a zero difference, which decodes white.

@@ -77,6 +77,23 @@ class TestPsnr:
                 assert psnr(img, attacked) == pytest.approx(dense_psnr(img, attacked), rel=0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("height", [33, 100, 513])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_changed_pixel_matches_dense_oracle(self, height, where):
+        # Strips of equal pixels are skipped; the one that differs, whether
+        # first, inside or the partial last strip, must still be summed.
+        rng = np.random.default_rng(height)
+        a = random_image(rng, 70, height)
+        row = {"first": 0, "middle": height // 2, "last": height - 1}[where]
+        pixels = a.pixels.copy()
+        pixels[row, 37] = 255 - pixels[row, 37]
+        b = RgbImage(pixels)
+        assert psnr(a, b) < math.inf
+        assert psnr(a, b) == pytest.approx(dense_psnr(a, b), rel=0, abs=1e-9)
+        assert psnr(a, b) == psnr(b, a)
+        assert psnr(a, RgbImage(a.pixels)) == math.inf
+
+
 class TestSimilarity:
     def test_identical_is_one(self, logo):
         assert similarity(logo, logo) == 1.0

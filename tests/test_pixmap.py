@@ -52,6 +52,14 @@ class TestReadRgbImage:
         img = read_rgb_image(b"P6\n1 1\n255\n" + bytes([0x0A, 0x20, 0x23]))
         assert img.pixels.tolist() == [[[0x0A, 0x20, 0x23]]]
 
+    def test_bytes_payload_is_adopted_read_only(self):
+        data = b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6])
+        img = read_rgb_image(data)
+        assert np.shares_memory(img.pixels, np.frombuffer(data, np.uint8))
+        with pytest.raises(ValueError):
+            img.pixels.flags.writeable = True
+        assert img.pixels.tolist() == [[[1, 2, 3], [4, 5, 6]]]
+
     def test_mutable_buffer_is_not_shared(self):
         data = bytearray(b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
         img = read_rgb_image(data)
@@ -143,11 +151,14 @@ class TestReadWatermark:
 
 
 class TestCopyBudgets:
-    """Reading or writing a P6 file allocates its payload once, not twice."""
+    """Reading or writing a P6 file allocates its payload at most once."""
 
     def test_read_allocates_one_payload(self):
+        # bytes are adopted in place; a mutable buffer is copied once.
         data = write_rgb_image(random_image(np.random.default_rng(3), 1024, 1024))
         _, peak = traced_peak(read_rgb_image, data)
+        assert peak <= 0.01 * 1024 * 1024 * 3
+        _, peak = traced_peak(read_rgb_image, bytearray(data))
         assert peak <= 1.5 * 1024 * 1024 * 3
 
     def test_write_allocates_one_payload(self):

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lumamark.colorspace import rgb_to_ycbcr
+from lumamark.colorspace import luminance, rgb_to_ycbcr
 from lumamark.errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
 from lumamark.pixmap import RgbImage
 from lumamark.selection import (
     DEFAULT_DELTA,
+    TIE_TOLERANCE,
     BlockRef,
     SelectionPlan,
+    _block_log_means,
+    _log_stats,
     candidate_blocks,
     log_average_luminance,
     parse_plan,
@@ -25,6 +28,7 @@ from lumamark.selection import (
 from support import (
     IMPOSSIBLE_PLAN_VALUES,
     candidate_oracle,
+    dense_log_stats,
     edit_plan_field,
     log_avg_oracle,
     random_image,
@@ -152,6 +156,38 @@ class TestCandidateBlocks:
             assert got == candidate_oracle(y, DEFAULT_DELTA)
 
 
+class TestStreamedLogStats:
+    """The streamed mask, block means and image mean against the dense plane."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["rgb", "ycc"]),
+        st.sampled_from(["random", "gray", "levels", "periodic"]),
+        st.integers(0, 2**31 - 1),
+        st.integers(8, 1100),
+        st.integers(8, 1100),
+    )
+    @example("rgb", "random", 0, 8, 8)
+    @example("ycc", "random", 1, 8, 1100)
+    @example("rgb", "levels", 2, 1100, 8)
+    @example("rgb", "random", 3, 1100, 1100)
+    @example("ycc", "random", 4, 1000, 777)
+    @example("rgb", "periodic", 5, 601, 600)
+    def test_mask_and_mean_equal_the_dense_plane_bit_for_bit(self, source, kind, seed, width, height):
+        pixels = _test_pixels(kind, seed, width, height)
+        y = luminance(pixels)
+        img = RgbImage(pixels) if source == "rgb" else ycc_from_y(y)
+        mask, image_log_mean = _log_stats(img, DEFAULT_DELTA)
+        dense_block_means, dense_mean = dense_log_stats(y, DEFAULT_DELTA)
+        assert image_log_mean == dense_mean
+        assert np.array_equal(mask, dense_block_means >= dense_mean - TIE_TOLERANCE)
+        # The mask's slack hides last-bit noise, so check the block means too.
+        grid_rows, grid_cols = dense_block_means.shape
+        block_means = np.empty((grid_rows, grid_cols))
+        _block_log_means(np.log(DEFAULT_DELTA + y[: grid_rows * 8]), block_means)
+        assert np.array_equal(block_means, dense_block_means)
+
+
 class TestSpiralOrder:
     def test_1x1(self):
         assert spiral_order(1, 1) == [BlockRef(0, 0)]
@@ -191,10 +227,12 @@ class TestSelectBlocks:
         assert plan.grid_cols == plan.grid_rows == 64
         assert plan.image_log_avg == pytest.approx(128.0001, rel=1e-9)
 
-    def test_rgb_selection_allocates_one_y_plane(self):
+    def test_rgb_selection_builds_no_y_plane(self):
+        # Selection streams its strips: the peak is a few strip buffers,
+        # about 0.3 of the float64 Y plane at 512 px and 0.08 at 2048 px.
         img = random_image(np.random.default_rng(5), 512, 512)
         _, peak = traced_peak(select_blocks, img)
-        assert peak <= 1.5 * 512 * 512 * 8
+        assert peak <= 0.4 * 512 * 512 * 8
 
     def test_exactly_15_candidates_is_insufficient(self):
         # 5x5 grid: 15 bright blocks, 10 dark ones.
@@ -276,6 +314,14 @@ class TestPlanSerialization:
         text = "\n".join(serialize_plan(plan).splitlines()[:-1]) + "\n"
         with pytest.raises(ValueError):
             parse_plan(text)
+
+    @pytest.mark.parametrize("number,line", [(1, "33;32"), (7, "32,32,7"), (16, "5")])
+    def test_bad_block_line_is_named(self, number, line):
+        plan = select_blocks(ycc_from_y(np.full((128, 128), 50.0)))
+        lines = serialize_plan(plan).splitlines()
+        lines[4 + number] = line
+        with pytest.raises(ValueError, match=f"bad plan block line {number}: '{line}'"):
+            parse_plan("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("field,value", IMPOSSIBLE_PLAN_VALUES)
     def test_impossible_values_rejected(self, corpus, field, value):
