@@ -150,6 +150,64 @@ class TestReadWatermark:
         assert w.bits.max() == 0
 
 
+_ZEROS = b"0" * 1024
+
+# Malformed input -> the exact error class and message the readers raise.
+MALFORMED = [
+    pytest.param(read_rgb_image, b"P5\n1 1\n255\n" + bytes(3), MalformedHeader,
+                 "expected magic P6, got b'P5'", id="p6-bad-magic"),
+    pytest.param(read_rgb_image, b"P5\n", MalformedHeader,
+                 "expected magic P6, got b'P5'", id="p6-bad-magic-then-end"),
+    pytest.param(read_watermark, b"P2\n32 32\n" + _ZEROS, MalformedHeader,
+                 "expected magic P1 or P4, got b'P2'", id="pbm-bad-magic"),
+    pytest.param(read_rgb_image, b"P6", MalformedHeader,
+                 "unexpected end of header", id="p6-end-at-magic"),
+    pytest.param(read_rgb_image, b"P6\n", MalformedHeader,
+                 "unexpected end of header", id="p6-end-after-magic"),
+    pytest.param(read_watermark, b"P4 # c\n", MalformedHeader,
+                 "unexpected end of header", id="p4-end-after-comment"),
+    pytest.param(read_rgb_image, b"P6\n0 1\n", MalformedHeader,
+                 "bad dimensions 0x1", id="p6-zero-width-no-maxval"),
+    pytest.param(read_rgb_image, b"P6\n0 1\n255\n", MalformedHeader,
+                 "bad dimensions 0x1", id="p6-zero-width"),
+    pytest.param(read_rgb_image, b"P6\nx 1\n255\n" + bytes(3), MalformedHeader,
+                 "expected integer, got b'x'", id="p6-non-digit-width"),
+    pytest.param(read_rgb_image, b"P6\n1 1\n2a5\n" + bytes(3), MalformedHeader,
+                 "expected integer, got b'2a5'", id="p6-non-digit-maxval"),
+    pytest.param(read_rgb_image, b"P6\n1 1\n254\n" + bytes(3), MalformedHeader,
+                 "only maxval 255 is supported, got 254", id="p6-maxval-254"),
+    pytest.param(read_rgb_image, b"P6\n1 1\n255", MalformedHeader,
+                 "missing payload separator", id="p6-no-separator"),
+    pytest.param(read_rgb_image, b"P6\n1 1\n255#c\n" + bytes(3), MalformedHeader,
+                 "header not followed by whitespace", id="p6-comment-after-maxval"),
+    pytest.param(read_rgb_image, b"P6\n1 1\n255\n" + bytes(2), TruncatedPayload,
+                 "need 3 payload bytes, found 2", id="p6-one-byte-short"),
+    pytest.param(read_rgb_image, b"P6\n1 1\n255\n" + bytes(4), MalformedHeader,
+                 "1 trailing bytes after payload", id="p6-one-byte-long"),
+    pytest.param(read_watermark, b"P4\n32 32\n" + bytes(127), TruncatedPayload,
+                 "need 128 payload bytes, found 127", id="p4-one-byte-short"),
+    pytest.param(read_watermark, b"P4\n32 32\n" + bytes(129), MalformedHeader,
+                 "1 trailing bytes after payload", id="p4-one-byte-long"),
+    pytest.param(read_watermark, b"P4\n16 16\n" + bytes(32), WrongDimensions,
+                 "watermark must be 32x32, got 16x16", id="p4-16x16"),
+    pytest.param(read_watermark, b"P1\n32 32\n" + b"0" * 511 + b"2" + b"0" * 512,
+                 MalformedHeader, "invalid P1 pixel byte b'2'", id="p1-invalid-digit"),
+    pytest.param(read_watermark, b"P1\n32 32\n" + b"0" * 1023, MalformedHeader,
+                 "need 1024 P1 pixels, found 1023", id="p1-1023-digits"),
+    pytest.param(read_watermark, b"P1\n32 32\n" + b"0" * 1025, MalformedHeader,
+                 "trailing data after P1 pixels", id="p1-1025-digits"),
+    pytest.param(read_watermark, b"P1\n32 32\n" + _ZEROS + b"\n# c\n", MalformedHeader,
+                 "trailing data after P1 pixels", id="p1-trailing-comment"),
+]
+
+
+@pytest.mark.parametrize("read, data, error, message", MALFORMED)
+def test_malformed_input_error(read, data, error, message):
+    with pytest.raises(error) as info:
+        read(data)
+    assert (info.type, str(info.value)) == (error, message)
+
+
 class TestCopyBudgets:
     """Reading or writing a P6 file allocates its payload at most once."""
 
