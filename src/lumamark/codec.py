@@ -14,7 +14,7 @@ import numpy as np
 
 from .colorspace import pixels_to_ycc, ycc_to_pixels
 from .errors import DimensionMismatch
-from .pixmap import RgbImage, WatermarkBitmap
+from .pixmap import WATERMARK_BITS, WATERMARK_SIDE, RgbImage, WatermarkBitmap
 from .selection import BLOCK_SIZE, SelectionPlan, partition_grid, select_blocks
 
 DEFAULT_ALPHA = 3
@@ -22,7 +22,7 @@ DEFAULT_ALPHA = 3
 
 def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
     """(ys, xs) of the 1024 carrier pixels, in watermark bit order."""
-    i = np.arange(32 * 32)
+    i = np.arange(WATERMARK_BITS)
     block_idx = i // (BLOCK_SIZE * BLOCK_SIZE)
     within = i % (BLOCK_SIZE * BLOCK_SIZE)
     cols = np.array([b.col for b in plan.blocks])
@@ -116,4 +116,4 @@ def extract(
         )
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
     bits = _decode(original.pixels[ys, xs], watermarked.pixels[ys, xs])
-    return WatermarkBitmap(bits.reshape(32, 32))
+    return WatermarkBitmap(bits.reshape(WATERMARK_SIDE, WATERMARK_SIDE))

@@ -3,7 +3,15 @@
 Images travel as binary PPM (P6, maxval 255); watermarks as PBM (P1 or P4,
 always 32x32). PBM ink convention (1 = black) is inverted at this boundary:
 everywhere inside the toolkit, bit 1 means white (pixel value 255).
+
+The readers take any bytes-like object. ``#`` comments may stand anywhere
+between header fields and between P1 digits; a comment runs to the end of
+its line. Exactly one separator byte precedes a binary (P6 or P4) payload.
+The pixels of a ``bytes`` input are adopted without a copy; any other
+buffer is copied, so later writes to it do not reach the image.
 """
+
+import re
 
 import numpy as np
 
@@ -12,6 +20,9 @@ from .errors import MalformedHeader, TruncatedPayload, WrongDimensions
 WATERMARK_SIDE = 32
 WATERMARK_BITS = WATERMARK_SIDE * WATERMARK_SIDE
 _WHITESPACE = b" \t\n\r\v\f"  # the PNM header separators
+# Separators and "#" comments (each to the end of its line), then one field.
+# It always matches, and the field is empty only at the end of the data.
+_FIELD = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n\r]*)*([^ \t\n\r\v\f#]*)")
 
 
 class RgbImage:
@@ -95,83 +106,60 @@ class WatermarkBitmap:
         return f"WatermarkBitmap(white={int(self._bits.sum())}/1024)"
 
 
-class _Tokenizer:
-    """Pulls whitespace-separated header tokens from PNM bytes, skipping # comments."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def next_token(self) -> bytes:
-        data, n = self.data, len(self.data)
-        i = self.pos
-        while i < n:
-            c = data[i]
-            if c == 0x23:  # '#'
-                while i < n and data[i] not in (0x0A, 0x0D):
-                    i += 1
-            elif c in _WHITESPACE:
-                i += 1
-            else:
-                break
-        if i >= n:
-            raise MalformedHeader("unexpected end of header")
-        start = i
-        while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
-            i += 1
-        self.pos = i
-        return data[start:i]
-
-    def next_int(self) -> int:
-        tok = self.next_token()
-        if not tok.isdigit():
-            raise MalformedHeader(f"expected integer, got {tok!r}")
-        return int(tok)
-
-    def start_of_payload(self) -> int:
-        # Binary payload begins after exactly one whitespace byte.
-        if self.pos >= len(self.data):
-            raise MalformedHeader("missing payload separator")
-        if self.data[self.pos] not in _WHITESPACE:
-            raise MalformedHeader("header not followed by whitespace")
-        return self.pos + 1
+def _field(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The next header field at or after ``pos``, and the offset just past it."""
+    m = _FIELD.match(data, pos)
+    if not m[1]:
+        raise MalformedHeader("unexpected end of header")
+    return m[1], m.end()
 
 
-def _read_header(data: bytes, magics: tuple[bytes, ...]) -> tuple[_Tokenizer, bytes, int, int]:
-    """Parse the magic (one of ``magics``), width and height; return them with
-    the tokenizer positioned after the height."""
-    tok = _Tokenizer(data)
-    magic = tok.next_token()
+def _number(data: bytes, pos: int) -> tuple[int, int]:
+    field, pos = _field(data, pos)
+    if not field.isdigit():
+        raise MalformedHeader(f"expected integer, got {field!r}")
+    return int(field), pos
+
+
+def _header(data: bytes, magics: tuple[bytes, ...]) -> tuple[bytes, int, int, int]:
+    """Read the magic (one of ``magics``), width, height and, for P6, a maxval
+    of 255, checking each field as it is read. Return the magic, width, height
+    and the offset just past the last field."""
+    magic, pos = _field(data, 0)
     if magic not in magics:
         expected = " or ".join(m.decode() for m in magics)
         raise MalformedHeader(f"expected magic {expected}, got {magic!r}")
-    width = tok.next_int()
-    height = tok.next_int()
+    width, pos = _number(data, pos)
+    height, pos = _number(data, pos)
     if width < 1 or height < 1:
         raise MalformedHeader(f"bad dimensions {width}x{height}")
-    return tok, magic, width, height
+    if magic == b"P6":
+        maxval, pos = _number(data, pos)
+        if maxval != 255:
+            raise MalformedHeader(f"only maxval 255 is supported, got {maxval}")
+    return magic, width, height, pos
 
 
-def _payload(tok: _Tokenizer, size: int) -> np.ndarray:
-    """The ``size`` payload bytes after the header, viewed in place, not
-    copied. Over a bytearray the view stays writable, so callers copy any
-    buffer that is not ``bytes``."""
-    start = tok.start_of_payload()
-    found = len(tok.data) - start
+def _payload(data: bytes, offset: int, size: int) -> np.ndarray:
+    """The ``size`` binary payload bytes after the one separator byte at
+    ``offset``, viewed in place, not copied. Over a mutable buffer the view
+    stays writable, so callers copy any buffer that is not ``bytes``."""
+    if offset >= len(data):
+        raise MalformedHeader("missing payload separator")
+    if data[offset] not in _WHITESPACE:
+        raise MalformedHeader("header not followed by whitespace")
+    found = len(data) - offset - 1
     if found < size:
         raise TruncatedPayload(f"need {size} payload bytes, found {found}")
     if found > size:
         raise MalformedHeader(f"{found - size} trailing bytes after payload")
-    return np.frombuffer(tok.data, np.uint8, count=size, offset=start)
+    return np.frombuffer(data, np.uint8, count=size, offset=offset + 1)
 
 
 def read_rgb_image(data: bytes) -> RgbImage:
     """Decode a binary PPM (P6, maxval 255) bit-exactly."""
-    tok, _, width, height = _read_header(data, (b"P6",))
-    maxval = tok.next_int()
-    if maxval != 255:
-        raise MalformedHeader(f"only maxval 255 is supported, got {maxval}")
-    pixels = _payload(tok, 3 * width * height).reshape(height, width, 3)
+    _, width, height, offset = _header(data, (b"P6",))
+    pixels = _payload(data, offset, 3 * width * height).reshape(height, width, 3)
     # A view of immutable bytes can be adopted; any other buffer is copied.
     return RgbImage._adopt(pixels) if type(data) is bytes else RgbImage(pixels)
 
@@ -184,35 +172,23 @@ def write_rgb_image(img: RgbImage) -> bytes:
 
 def read_watermark(data: bytes) -> WatermarkBitmap:
     """Decode a 32x32 PBM (P1 ascii or P4 binary), inverting ink to white=1."""
-    tok, magic, width, height = _read_header(data, (b"P1", b"P4"))
+    magic, width, height, offset = _header(data, (b"P1", b"P4"))
     if (width, height) != (WATERMARK_SIDE, WATERMARK_SIDE):
         raise WrongDimensions(f"watermark must be 32x32, got {width}x{height}")
     if magic == b"P1":
-        ink = _read_p1_digits(tok)
-    else:
-        packed = _payload(tok, WATERMARK_BITS // 8)
-        ink = np.unpackbits(packed).reshape(WATERMARK_SIDE, WATERMARK_SIDE)
-    return WatermarkBitmap(1 - ink)  # PBM 1 = black ink; stored 1 = white
-
-
-def _read_p1_digits(tok: _Tokenizer) -> np.ndarray:
-    """The 1024 ASCII digits after a P1 header; digits may run together."""
-    digits = bytearray()
-    while len(digits) < WATERMARK_BITS:
-        try:
-            token = tok.next_token()
-        except MalformedHeader:
-            raise MalformedHeader(
-                f"need {WATERMARK_BITS} P1 pixels, found {len(digits)}"
-            ) from None
-        invalid = token.translate(None, b"01")
+        # The raster is every field after the header; digits may run together.
+        digits = b"".join(_FIELD.findall(data, offset))
+        invalid = digits.translate(None, b"01")
         if invalid:
             raise MalformedHeader(f"invalid P1 pixel byte {invalid[:1]!r}")
-        digits += token
-    if len(digits) > WATERMARK_BITS or tok.data[tok.pos:].strip(_WHITESPACE):
-        raise MalformedHeader("trailing data after P1 pixels")
-    ink = np.frombuffer(digits, dtype=np.uint8) - ord("0")
-    return ink.reshape(WATERMARK_SIDE, WATERMARK_SIDE)
+        if len(digits) < WATERMARK_BITS:
+            raise MalformedHeader(f"need {WATERMARK_BITS} P1 pixels, found {len(digits)}")
+        if len(digits) > WATERMARK_BITS:
+            raise MalformedHeader("trailing data after P1 pixels")
+        ink = np.frombuffer(digits, np.uint8) - ord("0")
+    else:
+        ink = np.unpackbits(_payload(data, offset, WATERMARK_BITS // 8))
+    return WatermarkBitmap(1 - ink.reshape(WATERMARK_SIDE, WATERMARK_SIDE))
 
 
 def write_watermark(w: WatermarkBitmap) -> bytes:

@@ -66,6 +66,17 @@ class TestReadRgbImage:
         data[-6:] = bytes(6)
         assert img.pixels.tolist() == [[[1, 2, 3], [4, 5, 6]]]
 
+    @pytest.mark.parametrize("buffer", [bytes, bytearray], ids=["bytes", "bytearray"])
+    def test_memoryview_decodes_like_bytes(self, buffer):
+        data = b"P6 # c\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6])
+        assert read_rgb_image(memoryview(buffer(data))) == read_rgb_image(data)
+
+    def test_mutable_memoryview_is_not_shared(self):
+        data = bytearray(b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
+        img = read_rgb_image(memoryview(data))
+        data[-6:] = bytes(6)
+        assert img.pixels.tolist() == [[[1, 2, 3], [4, 5, 6]]]
+
 
 class TestWriteRgbImage:
     def test_canonical_1x1(self):
@@ -149,6 +160,24 @@ class TestReadWatermark:
         data[-128:] = bytes(128)
         assert w.bits.max() == 0
 
+    def test_p4_mutable_memoryview_is_not_shared(self):
+        data = bytearray(b"P4\n32 32\n" + b"\xff" * 128)
+        w = read_watermark(memoryview(data))
+        data[-128:] = bytes(128)
+        assert w.bits.max() == 0
+
+    @pytest.mark.parametrize("buffer", [bytes, bytearray], ids=["bytes", "bytearray"])
+    @pytest.mark.parametrize("data", [
+        b"P1\n32 32\n" + b"01" * 512,
+        b"P4\n32 32\n" + bytes(range(128)),
+    ], ids=["p1", "p4"])
+    def test_memoryview_decodes_like_bytes(self, data, buffer):
+        assert read_watermark(memoryview(buffer(data))) == read_watermark(data)
+
+    def test_p1_comment_after_last_digit(self):
+        w = read_watermark(b"P1\n32 32\n" + b"0" * 1024 + b"\n# c\n")
+        assert w.bits.min() == 1
+
 
 _ZEROS = b"0" * 1024
 
@@ -196,8 +225,8 @@ MALFORMED = [
                  "need 1024 P1 pixels, found 1023", id="p1-1023-digits"),
     pytest.param(read_watermark, b"P1\n32 32\n" + b"0" * 1025, MalformedHeader,
                  "trailing data after P1 pixels", id="p1-1025-digits"),
-    pytest.param(read_watermark, b"P1\n32 32\n" + _ZEROS + b"\n# c\n", MalformedHeader,
-                 "trailing data after P1 pixels", id="p1-trailing-comment"),
+    pytest.param(read_watermark, b"P1\n32 32\n" + _ZEROS + b"\n# c\n1", MalformedHeader,
+                 "trailing data after P1 pixels", id="p1-digit-after-trailing-comment"),
 ]
 
 
@@ -206,6 +235,75 @@ def test_malformed_input_error(read, data, error, message):
     with pytest.raises(error) as info:
         read(data)
     assert (info.type, str(info.value)) == (error, message)
+
+
+_SEPARATOR = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f"])
+_COMMENT = st.builds(
+    lambda text, end: b"#" + text + end,
+    st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+    st.sampled_from([b"\n", b"\r"]),
+)
+_GAP = st.lists(st.one_of(_SEPARATOR, _COMMENT), min_size=1, max_size=3).map(b"".join)
+
+
+def _mutable_view(data: bytes) -> memoryview:
+    return memoryview(bytearray(data))
+
+
+_BUFFERS = st.sampled_from([bytes, bytearray, memoryview, _mutable_view])
+
+
+@st.composite
+def _noisy_files(draw):
+    """(reader, canonical file, the same file with random separators and
+    comments between its header fields and its P1 digits, header length)."""
+    kind = draw(st.sampled_from([b"P6", b"P4", b"P1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if kind == b"P6":
+        img = random_image(rng, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        read, canonical = read_rgb_image, write_rgb_image(img)
+        fields = [b"%d" % img.width, b"%d" % img.height, b"255"]
+        raster = draw(_SEPARATOR) + img.pixels.tobytes()
+    else:
+        w = random_bitmap(rng)
+        read, canonical = read_watermark, write_watermark(w)
+        fields = [b"32", b"32"]
+        if kind == b"P4":
+            raster = draw(_SEPARATOR) + canonical[-128:]
+        else:
+            digits = (ord("1") - w.bits.reshape(-1)).astype(np.uint8).tobytes()
+            cuts = sorted(draw(st.lists(st.integers(0, 1024), max_size=6)))
+            pieces = [digits[a:b] for a, b in zip([0] + cuts, cuts + [1024])]
+            gaps = [draw(st.just(b"") | _GAP) for _ in cuts]
+            raster = draw(_GAP) + b"".join(p + g for p, g in zip(pieces, gaps + [b""]))
+            raster += draw(st.sampled_from([b"", b"# comment at the end"]))
+    header = kind + b"".join(draw(_GAP) + f for f in fields)
+    return read, canonical, header + raster, len(header)
+
+
+class TestNoisyInput:
+    @settings(max_examples=80, deadline=None)
+    @given(_noisy_files(), _BUFFERS)
+    def test_decodes_like_canonical(self, file, buffer):
+        read, canonical, noisy, _ = file
+        assert read(buffer(noisy)) == read(canonical)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_noisy_files(), _BUFFERS, st.data())
+    def test_damage_raises_only_format_errors(self, file, buffer, data):
+        read, _, noisy, header_len = file
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = noisy[: data.draw(st.integers(0, len(noisy) - 1), label="length")]
+        else:
+            flipped = bytearray(noisy)
+            flipped[data.draw(st.integers(0, header_len - 1), label="at")] ^= data.draw(
+                st.integers(1, 255), label="mask"
+            )
+            damaged = bytes(flipped)
+        try:
+            read(buffer(damaged))
+        except (MalformedHeader, TruncatedPayload, WrongDimensions):
+            pass
 
 
 class TestCopyBudgets:
