@@ -1,11 +1,11 @@
 """Deterministic synthetic test images and watermarks.
 
-The robustness experiments need a small reproducible corpus. These three
-512x512 images are procedural value-noise renders with distinct texture
-character (busy, blobby, smooth), a brightened center so block selection
-lands in the middle of the frame, and channel values kept away from 0 and
-255 so embedding never saturates. Everything is seeded; regenerating the
-corpus always yields byte-identical files.
+The robustness experiments need a small reproducible corpus.
+`corpus_image(name, size)` renders three procedural value-noise images at
+any size (the benchmark also uses 2048) with distinct texture character
+(busy, blobby, smooth), a brightened center so block selection lands in the
+middle of the frame, and channel values kept away from 0 and 255 so
+embedding never saturates. Everything is seeded; tests pin every byte.
 
 Run `python -m lumamark.testimages OUTDIR` to write the corpus to disk.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pixmap import RgbImage, WatermarkBitmap, write_rgb_image, write_watermark
+from .pixmap import WATERMARK_SIDE, RgbImage, WatermarkBitmap, write_rgb_image, write_watermark
 
 CORPUS_NAMES = ("fine_texture", "smooth_blobs", "soft_gradient")
 
@@ -24,16 +24,16 @@ _CHANNEL_HI = 243.0
 
 
 def _value_noise(rng: np.random.Generator, cells: int, size: int) -> np.ndarray:
-    """Bilinear value noise in [0, 1] on a size x size raster."""
+    """Bilinear value noise in [0, 1] on a size x size raster, blended
+    along x on the grid's rows, then along y."""
     grid = rng.random((cells + 1, cells + 1))
     t = np.linspace(0.0, cells, size, endpoint=False)
     i0 = t.astype(np.int64)
     f = t - i0
     f = f * f * (3.0 - 2.0 * f)  # smoothstep
     i1 = i0 + 1
-    top = grid[np.ix_(i0, i0)] * (1 - f) + grid[np.ix_(i0, i1)] * f
-    bottom = grid[np.ix_(i1, i0)] * (1 - f) + grid[np.ix_(i1, i1)] * f
-    return top * (1 - f)[:, None] + bottom * f[:, None]
+    rows = grid[:, i0] * (1 - f) + grid[:, i1] * f
+    return rows[i0] * (1 - f)[:, None] + rows[i1] * f[:, None]
 
 
 def _octaves(rng, size, layers):
@@ -43,23 +43,23 @@ def _octaves(rng, size, layers):
     return field
 
 
-def _center_bump(size: int, radius_frac: float = 0.45) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
-    c = (size - 1) / 2.0
-    r = np.hypot(yy - c, xx - c) / (size * radius_frac)
+def _bump(size: int, cy: float, cx: float, radius: float) -> np.ndarray:
+    """Raised-cosine disk: 1 at (cy, cx), falling to 0 at `radius`."""
+    yy, xx = np.ogrid[0:size, 0:size]
+    r = np.hypot(yy - cy, xx - cx) / radius
     return np.where(r < 1.0, 0.5 * (1.0 + np.cos(np.pi * r)), 0.0)
 
 
 def corpus_image(name: str, size: int = 512) -> RgbImage:
-    """One of the three named synthetic corpus images."""
+    """One of the three named synthetic corpus images, size x size pixels."""
+    if size < 1:
+        raise ValueError(f"corpus image size must be at least 1, got {size}")
     if name == "fine_texture":
         rng = np.random.default_rng(20240811)
         luma = _octaves(rng, size, [(6, 0.30), (24, 0.25), (64, 0.25), (128, 0.20)])
         # Dark pocket just off-center: a few near-center blocks fall below the
         # image log-average, so block selection has to skip spiral positions.
-        yy, xx = np.mgrid[0:size, 0:size]
-        r = np.hypot(yy - 0.523 * size, xx - 0.453 * size) / (0.088 * size)
-        luma -= 0.5 * np.where(r < 1.0, 0.5 * (1.0 + np.cos(np.pi * r)), 0.0)
+        luma -= 0.5 * _bump(size, 0.523 * size, 0.453 * size, 0.088 * size)
         chroma_scale = 0.30
         bump = 0.25
     elif name == "smooth_blobs":
@@ -77,23 +77,24 @@ def corpus_image(name: str, size: int = 512) -> RgbImage:
     else:
         raise ValueError(f"unknown corpus image {name!r}; pick from {CORPUS_NAMES}")
 
-    luma = luma + bump * _center_bump(size)
+    luma += bump * _bump(size, (size - 1) / 2.0, (size - 1) / 2.0, 0.45 * size)
     c1 = _octaves(rng, size, [(5, 1.0)]) - 0.5
     c2 = _octaves(rng, size, [(9, 1.0)]) - 0.5
     r = luma + chroma_scale * c1
     g = luma - 0.5 * chroma_scale * c1 + 0.4 * chroma_scale * c2
     b = luma - chroma_scale * c2
-    stacked = np.stack((r, g, b), axis=-1)
-    lo, hi = stacked.min(), stacked.max()
-    scaled = _CHANNEL_LO + (stacked - lo) / (hi - lo) * (_CHANNEL_HI - _CHANNEL_LO)
-    return RgbImage(np.rint(scaled).astype(np.uint8))
+    lo, hi = min(r.min(), g.min(), b.min()), max(r.max(), g.max(), b.max())
+    pixels = np.empty((size, size, 3), dtype=np.uint8)
+    for k, p in enumerate((r, g, b)):
+        pixels[..., k] = np.rint(_CHANNEL_LO + (p - lo) / (hi - lo) * (_CHANNEL_HI - _CHANNEL_LO))
+    return RgbImage._adopt(pixels)
 
 
 def logo_watermark() -> WatermarkBitmap:
     """Fixed 32x32 logo: disk, bar and corner block; asymmetric under
     transpose and both flips, so bit-order mistakes cannot cancel out."""
-    yy, xx = np.mgrid[0:32, 0:32]
-    bits = np.zeros((32, 32), dtype=np.uint8)
+    yy, xx = np.ogrid[0:WATERMARK_SIDE, 0:WATERMARK_SIDE]
+    bits = np.zeros((WATERMARK_SIDE, WATERMARK_SIDE), dtype=np.uint8)
     bits[(yy - 12) ** 2 + (xx - 11) ** 2 <= 64] = 1
     bits[24:28, 4:21] = 1
     bits[3:9, 23:29] = 1
@@ -103,7 +104,7 @@ def logo_watermark() -> WatermarkBitmap:
 
 def random_watermark(seed: int) -> WatermarkBitmap:
     rng = np.random.default_rng(seed)
-    return WatermarkBitmap((rng.random((32, 32)) < 0.5).astype(np.uint8))
+    return WatermarkBitmap((rng.random((WATERMARK_SIDE, WATERMARK_SIDE)) < 0.5).astype(np.uint8))
 
 
 def write_corpus(outdir: Path) -> list[Path]:

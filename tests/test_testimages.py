@@ -11,6 +11,8 @@ from lumamark.testimages import (
     random_watermark,
 )
 
+from support import traced_peak
+
 
 def sha256(array) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
@@ -50,6 +52,25 @@ class TestPinnedBytes:
         assert sha256(random_watermark(7).bits) == (
             "cf432a0eb058aeb52f879b29223d946e7ffeb500f1ed184d9a293269db724a54"
         )
+
+
+class TestCorpusImage:
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_peak_stays_under_ten_float_planes(self, name):
+        # The noise is blended separably and each channel is written straight
+        # into the uint8 result, so no full-size gather or float RGB stack lives.
+        size = 512
+        _, peak = traced_peak(corpus_image, name, size)
+        assert peak <= 10 * size * size * 8
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_bad_size_is_named(self, size):
+        with pytest.raises(ValueError, match=rf"^corpus image size must be at least 1, got {size}$"):
+            corpus_image("smooth_blobs", size)
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown corpus image 'nope'"):
+            corpus_image("nope")
 
 
 class TestCorpusTool:
