@@ -95,17 +95,8 @@ def luminance(pixels: np.ndarray) -> np.ndarray:
     so code whose rounding could flip on last-ulp noise, such as the codec's
     carriers, keeps using ``pixels_to_ycc``. Y is linear: the luminance of a
     channel difference is the difference of the two luminances.
-
-    The product runs over row strips, so the float64 cast of the channels
-    that ``matmul`` makes stays cache-sized; every row is the same
-    matrix-vector product, so the result is bit for bit
-    ``pixels @ RGB_TO_YCC[0]``.
     """
-    y = np.empty(pixels.shape[:2])
-    for top in range(0, pixels.shape[0], STRIP_ROWS):
-        rows = slice(top, top + STRIP_ROWS)
-        np.matmul(pixels[rows], RGB_TO_YCC[0], out=y[rows])
-    return y
+    return pixels @ RGB_TO_YCC[0]
 
 
 def pixels_to_ycc(pixels: np.ndarray) -> np.ndarray:

@@ -15,12 +15,12 @@ block ``.mean(axis=(1, 3))`` bit for bit:
   column differently, so there its own reduce runs).
 - numpy sums the whole plane pairwise, splitting any run longer than 128 at
   half its length rounded down to a multiple of 8. The split depends only
-  on the length, so every subtree of that tree is ``np.add.reduce`` of its
-  own contiguous run. Leaves of at most ``_LEAF`` logs are reduced as the
-  strips fill them and then combined along the tree.
+  on the length, so every subtree is ``np.add.reduce`` of its own run. One
+  recursion walks the tree down to runs of at most ``_LEAF`` logs, which
+  pull in strips as they need them and are reduced on their own.
 """
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -75,12 +75,19 @@ class SelectionPlan:
                 raise ValueError(f"block {b} outside {self.grid_cols}x{self.grid_rows} grid")
 
 
+def _check_logs_defined(y: np.ndarray, delta: float) -> None:
+    y_min = float(y.min())
+    if not delta + y_min > 0:
+        raise ValueError(f"log(delta + Y) needs Y > -delta, got a smallest Y of {y_min!r}")
+
+
 def log_average_luminance(y_values: np.ndarray, delta: float = DEFAULT_DELTA) -> float:
     """exp of the mean of log(delta + Y): the geometric brightness of a region."""
     _check_finite_positive("delta", delta)
     samples = np.asarray(y_values, dtype=np.float64).reshape(-1)
     if samples.size == 0:
         raise EmptyRegion("log-average luminance of zero samples")
+    _check_logs_defined(samples, delta)
     return float(np.exp(np.log(delta + samples).mean()))
 
 
@@ -98,30 +105,14 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
 _LEAF = 8192
 
 
-def _pairwise_split(n: int) -> int:
-    """Where numpy's pairwise sum splits a run of ``n`` > 128 elements: half
-    of it, rounded down to a multiple of its 8-way unroll."""
-    half = n // 2
-    return half - half % 8
-
-
-def _pairwise_leaves(n: int) -> Iterator[int]:
-    """In order, the lengths of the runs of at most ``_LEAF`` elements that
-    the pairwise sum of ``n`` elements adds up on its own."""
+def _pairwise_sum(n: int, leaf_sum: Callable[[int], float]) -> float:
+    """numpy's pairwise sum of ``n`` elements, with ``leaf_sum(size)`` summing
+    each run of at most ``_LEAF`` in order. numpy splits a longer run at half
+    its length rounded down to a multiple of its 8-way unroll."""
     if n <= _LEAF:
-        yield n
-        return
-    half = _pairwise_split(n)
-    yield from _pairwise_leaves(half)
-    yield from _pairwise_leaves(n - half)
-
-
-def _pairwise_total(n: int, leaf_sums: Iterator[float]) -> float:
-    """Combine the sums of ``_pairwise_leaves(n)`` as the pairwise tree does."""
-    if n <= _LEAF:
-        return next(leaf_sums)
-    half = _pairwise_split(n)
-    return _pairwise_total(half, leaf_sums) + _pairwise_total(n - half, leaf_sums)
+        return leaf_sum(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(n - half, leaf_sum)
 
 
 def _block_log_means(logs: np.ndarray, out: np.ndarray) -> None:
@@ -145,45 +136,48 @@ def _log_stats(img: RgbImage | YcbcrImage, delta: float) -> tuple[np.ndarray, fl
     """The (grid_rows, grid_cols) candidate mask and the whole-image mean of
     log(delta + Y), streamed through strips of ``STRIP_ROWS`` rows.
 
-    Each strip's Y and logs go into one reused buffer, after the logs of the
-    previous strip that no leaf of the pairwise tree has taken yet. Every
-    leaf that the buffer then holds whole is reduced, and the rest is moved
-    to its front. No Y plane is built, and both results are bit for bit
-    those of the plane's ``.mean()`` and ``.mean(axis=(1, 3))``.
+    The pairwise tree pulls the strips as its leaves need them. Each strip's
+    Y and logs go into one reused buffer, after the logs that earlier leaves
+    left over. No Y plane is built, and both results are bit for bit those
+    of the plane's ``.mean()`` and ``.mean(axis=(1, 3))``.
     """
     _check_finite_positive("delta", delta)
     width, height = img.width, img.height
     grid_cols, grid_rows = partition_grid(width, height)
-    n = width * height
+    if isinstance(img, YcbcrImage):
+        _check_logs_defined(img.y, delta)
     block_log_means = np.empty((grid_rows, grid_cols))
-    leaves = _pairwise_leaves(n)
-    leaf = next(leaves)
-    leaf_sums = []
     buffer = np.empty(_LEAF + STRIP_ROWS * width)
-    carried = 0
-    for top in range(0, height, STRIP_ROWS):
-        bottom = min(top + STRIP_ROWS, height)
-        filled = carried + (bottom - top) * width
-        logs = buffer[carried:filled].reshape(bottom - top, width)
-        if isinstance(img, RgbImage):
-            np.matmul(img.pixels[top:bottom], RGB_TO_YCC[0], out=logs)
-        else:
-            logs[...] = img.y[top:bottom]
-        np.log(np.add(logs, delta, out=logs), out=logs)
-        block_bottom = min(bottom, grid_rows * BLOCK_SIZE)
-        if block_bottom > top:
-            _block_log_means(
-                logs[: block_bottom - top],
-                block_log_means[top // BLOCK_SIZE : block_bottom // BLOCK_SIZE],
-            )
-        start = 0
-        while leaf <= filled - start:
-            leaf_sums.append(np.add.reduce(buffer[start : start + leaf]))
-            start += leaf
-            leaf = next(leaves, n + 1)  # past the last leaf: never held whole
-        carried = filled - start
-        buffer[:carried] = buffer[start:filled]
-    image_log_mean = float(_pairwise_total(n, iter(leaf_sums)) / n)
+    start = filled = top = 0
+
+    # Not nested in itself: a self-referencing closure is a reference cycle
+    # that would keep every call's buffer alive until the cycle collector runs.
+    def leaf_sum(size: int) -> float:
+        nonlocal start, filled, top
+        while filled - start < size:
+            filled -= start
+            buffer[:filled] = buffer[start : start + filled]
+            start = 0
+            bottom = min(top + STRIP_ROWS, height)
+            logs = buffer[filled : filled + (bottom - top) * width].reshape(bottom - top, width)
+            if isinstance(img, RgbImage):
+                np.matmul(img.pixels[top:bottom], RGB_TO_YCC[0], out=logs)
+            else:
+                logs[...] = img.y[top:bottom]
+            np.log(np.add(logs, delta, out=logs), out=logs)
+            block_bottom = min(bottom, grid_rows * BLOCK_SIZE)
+            if block_bottom > top:
+                _block_log_means(
+                    logs[: block_bottom - top],
+                    block_log_means[top // BLOCK_SIZE : block_bottom // BLOCK_SIZE],
+                )
+            filled += logs.size
+            top = bottom
+        start += size
+        return np.add.reduce(buffer[start - size : start])
+
+    n = width * height
+    image_log_mean = float(_pairwise_sum(n, leaf_sum) / n)
     return block_log_means >= image_log_mean - TIE_TOLERANCE, image_log_mean
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from lumamark.selection import (
     serialize_plan,
     spiral_order,
 )
+from lumamark.testimages import corpus_image
 
 from support import (
     IMPOSSIBLE_PLAN_VALUES,
@@ -94,6 +97,20 @@ class TestLogAverageLuminance:
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
             log_average_luminance(np.array([]))
+
+    @pytest.mark.parametrize("bad_y", [-5.0, math.nan])
+    def test_y_without_a_log_is_named(self, bad_y):
+        # A Y of -delta or less, or NaN, has no log(delta + Y): every entry
+        # point names it, where it gave nan or an empty candidate set.
+        y = np.full((64, 64), 90.0)
+        y[10, 20] = bad_y
+        message = f"smallest Y of {bad_y!r}"
+        with pytest.raises(ValueError, match=message):
+            log_average_luminance(np.array([10.0, bad_y]))
+        with pytest.raises(ValueError, match=message):
+            candidate_blocks(ycc_from_y(y))
+        with pytest.raises(ValueError, match=message):
+            select_blocks(ycc_from_y(y))
 
     def test_nonpositive_delta(self):
         # Every entry point rejects a delta that is not finite and positive:
@@ -173,6 +190,9 @@ class TestStreamedLogStats:
     @example("rgb", "random", 3, 1100, 1100)
     @example("ycc", "random", 4, 1000, 777)
     @example("rgb", "periodic", 5, 601, 600)
+    @example("rgb", "random", 6, 128, 64)  # n is exactly one leaf
+    @example("rgb", "levels", 7, 8, 1100)  # a leaf spans many strips
+    @example("rgb", "random", 8, 300, 36)  # the last strip is shorter than a block row
     def test_mask_and_mean_equal_the_dense_plane_bit_for_bit(self, source, kind, seed, width, height):
         pixels = _test_pixels(kind, seed, width, height)
         y = luminance(pixels)
@@ -233,6 +253,27 @@ class TestSelectBlocks:
         img = random_image(np.random.default_rng(5), 512, 512)
         _, peak = traced_peak(select_blocks, img)
         assert peak <= 0.4 * 512 * 512 * 8
+
+    def test_leaves_nothing_for_the_cycle_collector(self):
+        # With the cycle collector off, a reference cycle in selection would
+        # keep each call's strip buffer (about 200 KiB at 512 px) alive.
+        img = corpus_image("smooth_blobs")
+        select_blocks(img)
+        was_enabled, was_tracing = gc.isenabled(), tracemalloc.is_tracing()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                select_blocks(img)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert live <= 64 * 1024
 
     def test_exactly_15_candidates_is_insufficient(self):
         # 5x5 grid: 15 bright blocks, 10 dark ones.
