@@ -149,36 +149,25 @@ def compress_attack(img: RgbImage, quality: float) -> RgbImage:
         return RgbImage._adopt(out)
     # steps[u, v] repeated along each row of blocks, as (u, x).
     row_steps = np.tile(quant_steps(quality), cols // BLOCK_SIZE)
-    # Two strip buffers that every strip reuses.
-    size = 3 * STRIP_ROWS * cols
-    buf_a, buf_b = np.empty(size), np.empty(size)
     for top in range(0, rows, STRIP_ROWS):
-        bottom = min(top + STRIP_ROWS, rows)
-        used = 3 * (bottom - top) * cols
-        strip = (slice(top, bottom), slice(0, cols))
-        _compress_strip(pixels[strip], out[strip], row_steps, buf_a[:used], buf_b[:used])
+        strip = (slice(top, min(top + STRIP_ROWS, rows)), slice(0, cols))
+        _compress_strip(pixels[strip], out[strip], row_steps)
     return RgbImage._adopt(out)
 
 
-def _compress_strip(
-    src: np.ndarray, dst: np.ndarray, row_steps: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> None:
+def _compress_strip(src: np.ndarray, dst: np.ndarray, row_steps: np.ndarray) -> None:
     """Attack one (h, w, 3) strip of whole blocks from ``src`` into ``dst``:
-    matrix arithmetic in the float buffers ``a`` and ``b``, then
-    ``_exact_blocks`` over every block with a value near a rounding tie."""
+    matrix arithmetic, then ``_exact_blocks`` over every block with a value
+    near a rounding tie."""
     height, width = src.shape[:2]
     block_rows, block_cols = height // BLOCK_SIZE, width // BLOCK_SIZE
-    a = a.reshape(3 * block_rows, BLOCK_SIZE, width)
-    b = b.reshape(a.shape)
-    _fast_quotients(src, row_steps, a, b)
-    coeffs, near = _round_flagging_ties(a)
+    coeffs, near = _round_flagging_ties(_fast_quotients(src, row_steps))
     planes_first = (3, block_rows, BLOCK_SIZE, block_cols, BLOCK_SIZE)
     _, rows, _, cols, _ = np.unravel_index(near, planes_first)
     redo = np.zeros((block_rows, block_cols), dtype=bool)
     redo[rows, cols] = True
     coeffs *= row_steps
-    rgb = a.reshape(height, width, 3)
-    _fast_rgb(coeffs, rgb)
+    rgb = _fast_rgb(coeffs)
     del coeffs  # so the next rounding can take its memory
     rgb, near = _round_flagging_ties(rgb)
     dst[:] = np.clip(rgb, 0, 255, out=rgb)
@@ -191,28 +180,29 @@ def _compress_strip(
         blocks[rows, :, cols] = _exact_blocks(tied, row_steps[:, :BLOCK_SIZE])
 
 
-def _fast_quotients(
-    src: np.ndarray, row_steps: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> None:
+def _fast_quotients(src: np.ndarray, row_steps: np.ndarray) -> np.ndarray:
     """Each DCT coefficient over its step, for every block of an (h, w, 3)
-    uint8 strip, written planes first into ``out`` as (3 h/8, 8, w): one
-    colour product and two products with _DCT. Clobbers ``scratch``."""
+    uint8 strip, planes first as (3 h/8, 8, w): one colour product and two
+    products with _DCT."""
     height, width = src.shape[:2]
-    np.copyto(scratch.reshape(3, height, width), src.transpose(2, 0, 1))
-    np.matmul(RGB_TO_YCC, scratch.reshape(3, -1), out=out.reshape(3, -1))
-    np.matmul(_DCT, out, out=scratch)
-    np.matmul(scratch.reshape(-1, BLOCK_SIZE), _DCT.T, out=out.reshape(-1, BLOCK_SIZE))
-    out /= row_steps
+    planes = np.ascontiguousarray(src.transpose(2, 0, 1), dtype=np.float64)
+    quotients = np.empty((3 * height // BLOCK_SIZE, BLOCK_SIZE, width))
+    np.matmul(RGB_TO_YCC, planes.reshape(3, -1), out=quotients.reshape(3, -1))
+    np.matmul(_DCT, quotients, out=planes.reshape(quotients.shape))
+    np.matmul(planes.reshape(-1, BLOCK_SIZE), _DCT.T, out=quotients.reshape(-1, BLOCK_SIZE))
+    quotients /= row_steps
+    return quotients
 
 
-def _fast_rgb(coeffs: np.ndarray, out: np.ndarray) -> None:
-    """The pre-rounding RGB of dequantized (3 h/8, 8, w) coefficients, into
-    ``out`` as (h, w, 3): two products with _DCT.T and one colour product.
-    Clobbers ``coeffs``."""
-    ycc = out.reshape(coeffs.shape)
-    np.matmul(_DCT.T, coeffs, out=ycc)
+def _fast_rgb(coeffs: np.ndarray) -> np.ndarray:
+    """The pre-rounding RGB, as (h, w, 3), of dequantized (3 h/8, 8, w)
+    coefficients: two products with _DCT.T and one colour product. Clobbers
+    ``coeffs``."""
+    ycc = np.matmul(_DCT.T, coeffs)
     np.matmul(ycc.reshape(-1, BLOCK_SIZE), _DCT, out=coeffs.reshape(-1, BLOCK_SIZE))
-    np.matmul(coeffs.reshape(3, -1).T, YCC_TO_RGB.T, out=out.reshape(-1, 3))
+    rgb = ycc.reshape(-1, coeffs.shape[-1], 3)
+    np.matmul(coeffs.reshape(3, -1).T, YCC_TO_RGB.T, out=rgb.reshape(-1, 3))
+    return rgb
 
 
 def _round_flagging_ties(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

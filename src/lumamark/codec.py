@@ -82,7 +82,8 @@ def embed(
     carriers = original.pixels[ys, xs]
     ycc = pixels_to_ycc(carriers)
     bits = watermark.bits.reshape(-1)
-    ycc[:, 0] += np.where(bits == 1, alpha, -alpha)
+    # The sign in float64: -alpha would wrap for an unsigned numpy alpha.
+    ycc[:, 0] += np.where(bits == 1, 1.0, -1.0) * alpha
     marked = ycc_to_pixels(ycc)
     # extract's own decoding, so this counts exactly the carriers it reads wrong.
     wrong = int(np.count_nonzero(_decode(carriers, marked) != bits))

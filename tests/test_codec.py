@@ -57,6 +57,12 @@ class TestEmbedParams:
         # the warning names the caller's line, not a line inside the codec
         assert record[0].filename == __file__
 
+    @pytest.mark.parametrize("numpy_int", [np.uint8, np.uint16, np.int8])
+    def test_numpy_integer_alpha_embeds_like_int(self, corpus, logo, numpy_int):
+        # -alpha wraps for an unsigned alpha: np.uint8(3) would step by -253
+        img = corpus["smooth_blobs"]
+        assert embed(img, logo, numpy_int(3)) == embed(img, logo, 3)
+
 
 class TestBitPixelMapping:
     def test_coords_follow_plan_then_block_row_major(self):
