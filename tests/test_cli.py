@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lumamark import cli, errors
+from lumamark import cli, codec, errors, metrics
 from lumamark.cli import main
 from lumamark.pixmap import (
     WatermarkBitmap,
@@ -14,7 +15,8 @@ from lumamark.pixmap import (
     write_rgb_image,
     write_watermark,
 )
-from lumamark.selection import parse_plan
+from lumamark.selection import parse_plan, plan_summary, select_blocks
+from lumamark.testimages import CORPUS_NAMES, random_watermark
 
 from support import (
     IMPOSSIBLE_PLAN_VALUES,
@@ -32,6 +34,63 @@ def paths(corpus_dir):
         "img2": str(corpus_dir / "soft_gradient.ppm"),
         "logo": str(corpus_dir / "logo.pbm"),
     }
+
+
+def _commented_p6(img):
+    """The image as P6 with comments between and after its header fields."""
+    header = f"P6 # comment\n{img.width}#\n {img.height}\n# {'x' * 80}\n255\n"
+    return header.encode("ascii") + img.pixels.tobytes()
+
+
+def _cli_run(argv):
+    """main(argv), and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    return [str(w.message) for w in record]
+
+
+_ORACLE_INPUTS = (*CORPUS_NAMES, "black-commented")
+
+
+class TestFilesMatchTheLibrary:
+    """embed and extract write what the library's whole-image embed,
+    extract and psnr give, byte for byte, and print the same lines."""
+
+    @pytest.mark.parametrize("alpha", [3, 60], ids=["alpha3", "alpha60-clamps"])
+    @pytest.mark.parametrize("name", _ORACLE_INPUTS)
+    def test_embed_and_extract(self, corpus, tmp_path, capsys, name, alpha):
+        commented = name == "black-commented"
+        img = gray_image(0, 64, 64) if commented else corpus[name]
+        wm = random_watermark(10 * alpha + _ORACLE_INPUTS.index(name))
+        encode = _commented_p6 if commented else write_rgb_image
+        orig, wm_path = tmp_path / "orig.ppm", tmp_path / "wm.pbm"
+        marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
+        orig.write_bytes(encode(img))
+        wm_path.write_bytes(write_watermark(wm))
+
+        embed_warnings = _cli_run(["embed", str(orig), str(wm_path), str(marked),
+                                   "--alpha", str(alpha), "--dump-plan", str(plan_path)])
+        plan = select_blocks(img)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            expected = codec.embed(img, wm, alpha, plan=plan)
+        assert embed_warnings == [str(w.message) for w in record]
+        assert bool(embed_warnings) == commented
+        assert marked.read_bytes() == write_rgb_image(expected)
+        psnr_line = f"psnr_db={cli._fmt(metrics.psnr(img, expected))}"
+        assert capsys.readouterr().out == f"{psnr_line}\n{plan_summary(plan)}\n"
+
+        marked.write_bytes(encode(expected))
+        extracted = codec.extract(img, expected, plan=plan)
+        sigma = metrics.similarity(wm, extracted)
+        lines = f"sigma={cli._fmt(sigma)}\nmatched={str(metrics.decide(sigma)).lower()}\n"
+        for extra in ([], ["--use-plan", str(plan_path)]):
+            out = tmp_path / "out.pbm"
+            assert _cli_run(["extract", str(orig), str(marked), str(out),
+                             "--reference", str(wm_path), *extra]) == []
+            assert out.read_bytes() == write_watermark(extracted)
+            assert capsys.readouterr().out == lines
 
 
 class TestEmbedCommand:
