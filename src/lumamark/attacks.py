@@ -3,8 +3,9 @@
 The compression attack is a JPEG-style quantization pipeline, not a JPEG
 codec: every full 8x8 block of every Y/Cb/Cr plane is DCT-transformed,
 quantized against the standard luminance table scaled by the quality
-setting, and transformed back. It is bit-reproducible across platforms,
-which a real encoder would not be.
+setting, and transformed back. Unlike a real encoder it is deterministic,
+but the blocks near a rounding tie get whatever bytes scipy's FFT rounds to,
+and no test shows that rounding to be the same on every platform.
 
 Its bytes are those of the exact path, ``_exact_blocks``: the colour
 matrices, scipy's FFT ``dctn``/``idctn`` and ``round_half_away``. The attack
@@ -23,7 +24,6 @@ predicates (1997).
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct, dctn, idctn
 
 from .colorspace import (
     RGB_TO_YCC,
@@ -98,10 +98,29 @@ def quant_steps(quality: float) -> np.ndarray:
 
 
 # The orthonormal 8-point DCT-II as a matrix, row k the k-th basis vector:
-# _DCT @ x is dct(x, norm="ortho"). Taken from the FFT, whose entries lie
-# within 1.1 ulp of the true cosines; np.cos of the rounded angles errs by
-# up to 16.
-_DCT = dct(np.eye(BLOCK_SIZE), norm="ortho", axis=0)
+# _DCT @ x is dct(x, norm="ortho"). The literals are the FFT's entries (a test
+# checks each bit), within 1.1 ulp of the true cosines; np.cos of the rounded
+# angles errs by up to 16. Only _exact_blocks imports scipy.
+_DCT = np.array(
+    [
+        [0.3535533905932738, 0.3535533905932738, 0.3535533905932738, 0.3535533905932738,
+         0.3535533905932738, 0.3535533905932738, 0.3535533905932738, 0.3535533905932738],
+        [0.4903926402016152, 0.41573480615127256, 0.2777851165098011, 0.0975451610080641,
+         -0.0975451610080641, -0.2777851165098011, -0.41573480615127256, -0.4903926402016152],
+        [0.46193976625564337, 0.19134171618254492, -0.19134171618254492, -0.46193976625564337,
+         -0.46193976625564337, -0.19134171618254492, 0.19134171618254492, 0.46193976625564337],
+        [0.4157348061512727, -0.09754516100806418, -0.4903926402016151, -0.2777851165098011,
+         0.2777851165098011, 0.4903926402016151, 0.09754516100806418, -0.4157348061512727],
+        [0.35355339059327373, -0.35355339059327373, -0.35355339059327373, 0.35355339059327373,
+         0.35355339059327373, -0.35355339059327373, -0.35355339059327373, 0.35355339059327373],
+        [0.2777851165098011, -0.4903926402016151, 0.09754516100806418, 0.4157348061512727,
+         -0.4157348061512727, -0.09754516100806418, 0.4903926402016151, -0.2777851165098011],
+        [0.19134171618254492, -0.46193976625564337, 0.46193976625564337, -0.19134171618254492,
+         -0.19134171618254492, 0.46193976625564337, -0.46193976625564337, 0.19134171618254492],
+        [0.0975451610080641, -0.2777851165098011, 0.41573480615127256, -0.4903926402016152,
+         0.4903926402016152, -0.41573480615127256, 0.2777851165098011, -0.0975451610080641],
+    ]
+)
 
 # |fast - exact| on a quotient or a pre-rounding RGB value. With u = 2**-53,
 # per 8x8 block and plane, in the Frobenius norm (which neither orthonormal
@@ -217,6 +236,8 @@ def _exact_blocks(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The arithmetic that defines the attack's bytes, on (n, 8, 8, 3) uint8
     blocks: the colour matrices, FFT ``dctn``/``idctn`` and
     ``round_half_away``."""
+    from scipy.fft import dctn, idctn  # here, so only an attack imports scipy
+
     ycc = pixels_to_ycc(blocks)
     coeffs = dctn(ycc, type=2, norm="ortho", axes=(1, 2))
     coeffs /= steps[:, :, np.newaxis]

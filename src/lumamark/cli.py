@@ -9,6 +9,7 @@ into place, so a failing run leaves no output file behind.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -50,14 +51,14 @@ def _crop_arg(text: str) -> attacks.CropRect:
     return attacks.CropRect(x, y, w, h)
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, *chunks) -> None:
     # os.open applies the umask itself, as open() does, so the file gets the
     # mode a plain open() would give it.
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -86,11 +87,19 @@ def _fmt(value: float) -> str:
 
 
 def _embed(args):
-    """Read the original and the watermark, select at --delta, embed at --alpha."""
+    """Read the original and the watermark and select at --delta."""
     original = _read_image(args.original)
     watermark = _read_watermark(args.watermark)
-    plan = selection.select_blocks(original, args.delta)
-    return original, watermark, plan, codec.embed(original, watermark, args.alpha, plan=plan)
+    return original, watermark, selection.select_blocks(original, args.delta)
+
+
+def _carriers(image, ys, xs):
+    """The pixels at (ys, xs) of an RgbImage, or of an RgbFile, from which
+    only the span of rows that holds them is read."""
+    if isinstance(image, pixmap.RgbImage):
+        return image.pixels[ys, xs]
+    top = int(ys.min())
+    return image.rows(top, int(ys.max()) + 1)[ys - top, xs]
 
 
 def _print_match(reference, extracted) -> None:
@@ -101,11 +110,19 @@ def _print_match(reference, extracted) -> None:
 
 def cmd_embed(args) -> int:
     _check_outputs(*filter(None, (args.output, args.dump_plan)))
-    original, _, plan, marked = _embed(args)
-    psnr_db = metrics.psnr(original, marked)
-    _write_atomic(Path(args.output), pixmap.write_rgb_image(marked))
+    original, watermark, plan = _embed(args)
+    ys, xs = codec.embedded_pixel_coords(plan)
+    carriers = original.pixels[ys, xs]
+    marked = codec._mark(carriers, watermark.bits.reshape(-1), args.alpha)
+    # The original's payload, with the rows that hold carriers from a copy.
+    pixels, top, stop = original.pixels, int(ys.min()), int(ys.max()) + 1
+    span = pixels[top:stop].copy()
+    span[ys - top, xs] = marked
+    header = pixmap.rgb_header(original.width, original.height)
+    _write_atomic(Path(args.output), header, pixels[:top], span, pixels[stop:])
     if args.dump_plan:
         _write_atomic(Path(args.dump_plan), selection.serialize_plan(plan).encode("ascii"))
+    psnr_db = metrics.carrier_psnr(carriers, marked, original.width * original.height)
     print(f"psnr_db={_fmt(psnr_db)}")
     print(selection.plan_summary(plan))
     return 0
@@ -113,14 +130,23 @@ def cmd_embed(args) -> int:
 
 def cmd_extract(args) -> int:
     _check_outputs(args.output)
-    original = _read_image(args.original)
-    watermarked = _read_image(args.watermarked)
-    reference = _read_watermark(args.reference) if args.reference else None
-    if args.use_plan:
-        plan = selection.parse_plan(Path(args.use_plan).read_text("ascii"))
-    else:
-        plan = selection.select_blocks(original, args.delta)
-    extracted = codec.extract(original, watermarked, plan=plan)
+    with contextlib.ExitStack() as files:
+        def rgb_file(path):
+            return pixmap.RgbFile(files.enter_context(open(Path(path), "rb")))
+
+        # With a plan, only the carriers' rows of each image are read.
+        original = rgb_file(args.original) if args.use_plan else _read_image(args.original)
+        watermarked = rgb_file(args.watermarked)
+        reference = _read_watermark(args.reference) if args.reference else None
+        if args.use_plan:
+            plan = selection.parse_plan(Path(args.use_plan).read_text("ascii"))
+        else:
+            plan = selection.select_blocks(original, args.delta)
+        codec._check_sizes(original, watermarked)
+        codec._check_grid(plan, original.width, original.height)
+        ys, xs = codec.embedded_pixel_coords(plan)
+        bits = codec._decode(_carriers(original, ys, xs), _carriers(watermarked, ys, xs))
+    extracted = pixmap.WatermarkBitmap(bits.reshape(pixmap.WATERMARK_SIDE, -1))
     _write_atomic(Path(args.output), pixmap.write_watermark(extracted))
     if reference is not None:
         _print_match(reference, extracted)
@@ -151,7 +177,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_report(args) -> int:
     """Run the full attack grid and emit one CSV row per test."""
-    original, watermark, plan, marked = _embed(args)
+    original, watermark, plan = _embed(args)
+    marked = codec.embed(original, watermark, args.alpha, plan=plan)
     keep = attacks.center_keep_rect(original.width, original.height)
     grid = [
         ("no-change", marked, True),

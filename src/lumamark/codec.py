@@ -32,16 +32,30 @@ def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
+def _check_grid(plan: SelectionPlan, width: int, height: int) -> None:
+    """Raise DimensionMismatch unless the plan's grid is a width x height image's."""
+    if (plan.grid_cols, plan.grid_rows) != partition_grid(width, height):
+        raise DimensionMismatch(
+            f"plan grid {plan.grid_cols}x{plan.grid_rows} does not match "
+            f"a {width}x{height} image"
+        )
+
+
+def _check_sizes(original, watermarked) -> None:
+    """Raise DimensionMismatch unless the images (or RgbFiles) agree in size."""
+    if (original.width, original.height) != (watermarked.width, watermarked.height):
+        raise DimensionMismatch(
+            f"original is {original.width}x{original.height}, "
+            f"watermarked is {watermarked.width}x{watermarked.height}"
+        )
+
+
 def _plan_for(original: RgbImage, plan: SelectionPlan | None) -> SelectionPlan:
     """The given plan, checked against the image's grid, or the default-delta
     plan of the original when none is given."""
     if plan is None:
         return select_blocks(original)
-    if (plan.grid_cols, plan.grid_rows) != partition_grid(original.width, original.height):
-        raise DimensionMismatch(
-            f"plan grid {plan.grid_cols}x{plan.grid_rows} does not match "
-            f"a {original.width}x{original.height} image"
-        )
+    _check_grid(plan, original.width, original.height)
     return plan
 
 
@@ -50,6 +64,30 @@ def _decode(original_carriers: np.ndarray, marked_carriers: np.ndarray) -> np.nd
     the original's, so a difference of exactly zero decodes white."""
     diff = pixels_to_ycc(marked_carriers)[:, 0] - pixels_to_ycc(original_carriers)[:, 0]
     return (diff >= 0).astype(np.uint8)
+
+
+def _mark(carriers: np.ndarray, bits: np.ndarray, alpha: int) -> np.ndarray:
+    """The (n, 3) uint8 carriers with each one's Y moved by +alpha (bit 1) or
+    -alpha (bit 0), rebuilt to 8-bit RGB; ``embed`` without the image."""
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1 (0 would make the sign test vacuous)")
+    if alpha < 2:
+        warnings.warn("alpha=1 leaves no headroom for reconstruction rounding", stacklevel=3)
+    ycc = pixels_to_ycc(carriers)
+    # The sign in float64: -alpha would wrap for an unsigned numpy alpha.
+    ycc[:, 0] += np.where(bits == 1, 1.0, -1.0) * alpha
+    marked = ycc_to_pixels(ycc)
+    # extract's own decoding, so this counts exactly the carriers it reads wrong.
+    wrong = int(np.count_nonzero(_decode(carriers, marked) != bits))
+    if wrong:
+        warnings.warn(
+            f"{wrong} of {bits.size} carriers cannot carry their bit: after rounding "
+            "and clamping to [0, 255] their luminance change has the wrong sign, so "
+            "extraction reads them wrong",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return marked
 
 
 def embed(
@@ -74,27 +112,8 @@ def embed(
     delta; pass ``plan=select_blocks(original, delta)`` for another delta.
     alpha must be at least 1, and alpha 1 warns.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1 (0 would make the sign test vacuous)")
-    if alpha < 2:
-        warnings.warn("alpha=1 leaves no headroom for reconstruction rounding", stacklevel=2)
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
-    carriers = original.pixels[ys, xs]
-    ycc = pixels_to_ycc(carriers)
-    bits = watermark.bits.reshape(-1)
-    # The sign in float64: -alpha would wrap for an unsigned numpy alpha.
-    ycc[:, 0] += np.where(bits == 1, 1.0, -1.0) * alpha
-    marked = ycc_to_pixels(ycc)
-    # extract's own decoding, so this counts exactly the carriers it reads wrong.
-    wrong = int(np.count_nonzero(_decode(carriers, marked) != bits))
-    if wrong:
-        warnings.warn(
-            f"{wrong} of {bits.size} carriers cannot carry their bit: after rounding "
-            "and clamping to [0, 255] their luminance change has the wrong sign, so "
-            "extraction reads them wrong",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    marked = _mark(original.pixels[ys, xs], watermark.bits.reshape(-1), alpha)
     pixels = original.pixels.copy()
     pixels[ys, xs] = marked
     return RgbImage._adopt(pixels)
@@ -110,11 +129,7 @@ def extract(
     Both images are read at the carriers only; the original's whole
     luminance is read just when the plan has to be recomputed.
     """
-    if (original.width, original.height) != (watermarked.width, watermarked.height):
-        raise DimensionMismatch(
-            f"original is {original.width}x{original.height}, "
-            f"watermarked is {watermarked.width}x{watermarked.height}"
-        )
+    _check_sizes(original, watermarked)
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
     bits = _decode(original.pixels[ys, xs], watermarked.pixels[ys, xs])
     return WatermarkBitmap(bits.reshape(WATERMARK_SIDE, WATERMARK_SIDE))

@@ -9,8 +9,11 @@ between header fields and between P1 digits; a comment runs to the end of
 its line. Exactly one separator byte precedes a binary (P6 or P4) payload.
 The pixels of a ``bytes`` input are adopted without a copy; any other
 buffer is copied, so later writes to it do not reach the image.
+``RgbFile`` checks an open P6 file as ``read_rgb_image`` checks its bytes,
+with the same errors, and then reads only the rows it is asked for.
 """
 
+import os
 import re
 
 import numpy as np
@@ -140,19 +143,25 @@ def _header(data: bytes, magics: tuple[bytes, ...]) -> tuple[bytes, int, int, in
     return magic, width, height, pos
 
 
-def _payload(data: bytes, offset: int, size: int) -> np.ndarray:
-    """The ``size`` binary payload bytes after the one separator byte at
-    ``offset``, viewed in place, not copied. Over a mutable buffer the view
-    stays writable, so callers copy any buffer that is not ``bytes``."""
-    if offset >= len(data):
+def _check_payload(data: bytes, offset: int, length: int, size: int) -> None:
+    """Check that an input of ``length`` bytes, which starts with ``data``,
+    has one separator byte at ``offset`` and then exactly ``size`` bytes."""
+    if offset >= length:
         raise MalformedHeader("missing payload separator")
     if data[offset] not in _WHITESPACE:
         raise MalformedHeader("header not followed by whitespace")
-    found = len(data) - offset - 1
+    found = length - offset - 1
     if found < size:
         raise TruncatedPayload(f"need {size} payload bytes, found {found}")
     if found > size:
         raise MalformedHeader(f"{found - size} trailing bytes after payload")
+
+
+def _payload(data: bytes, offset: int, size: int) -> np.ndarray:
+    """The checked payload of ``data``, viewed in place, not copied. Over a
+    mutable buffer the view stays writable, so callers copy any buffer that
+    is not ``bytes``."""
+    _check_payload(data, offset, len(data), size)
     return np.frombuffer(data, np.uint8, count=size, offset=offset + 1)
 
 
@@ -164,10 +173,45 @@ def read_rgb_image(data: bytes) -> RgbImage:
     return RgbImage._adopt(pixels) if type(data) is bytes else RgbImage(pixels)
 
 
+def rgb_header(width: int, height: int) -> bytes:
+    """The canonical P6 header: single-space header fields, no comments."""
+    return f"P6\n{width} {height}\n255\n".encode("ascii")
+
+
 def write_rgb_image(img: RgbImage) -> bytes:
-    """Encode to canonical P6: single-space header fields, no comments."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return b"".join((header, img.pixels))
+    """Encode to canonical P6: ``rgb_header`` and the pixels."""
+    return b"".join((rgb_header(img.width, img.height), img.pixels))
+
+
+class RgbFile:
+    """A P6 file open for binary reading, whose rows are read on demand. It
+    checks the header, separator and length as ``read_rgb_image`` does."""
+
+    _PREFIX = 4096  # bytes of the first header read
+
+    def __init__(self, fh):
+        self._fd, n = fh.fileno(), self._PREFIX
+        while True:
+            data = os.pread(self._fd, n, 0)
+            try:
+                _, self.width, self.height, offset = _header(data, (b"P6",))
+                if offset < len(data) or len(data) < n:
+                    break
+            except MalformedHeader:
+                if len(data) < n:  # parsed from the whole file
+                    raise
+            n *= 16  # a field or comment may run on past the bytes read
+        _check_payload(data, offset, os.fstat(self._fd).st_size, 3 * self.width * self.height)
+        self._start = offset + 1
+
+    def rows(self, top: int, stop: int) -> np.ndarray:
+        """Rows top to stop - 1, as a read-only (stop - top, width, 3) array."""
+        row, count = 3 * self.width, stop - top
+        data = os.pread(self._fd, row * count, self._start + row * top)
+        if len(data) < row * count:  # the file shrank after it was checked
+            need = 3 * self.width * self.height
+            raise TruncatedPayload(f"need {need} payload bytes, found {row * top + len(data)}")
+        return np.frombuffer(data, np.uint8).reshape(count, self.width, 3)
 
 
 def read_watermark(data: bytes) -> WatermarkBitmap:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scipy.fft import dctn, idctn
+from scipy.fft import dct, dctn, idctn
 
 from lumamark import attacks
 from lumamark.attacks import (
@@ -242,6 +242,12 @@ class TestCompressErrorBound:
                 errors = self.max_errors(img, quality)
                 assert max(errors) < attacks._ERROR_BOUND, (img, quality, errors)
         assert attacks._ERROR_BOUND < attacks._EPS
+
+    def test_dct_literals_are_the_ffts_matrix_bit_for_bit(self):
+        # The bound above takes _DCT's entries to be the FFT's.
+        expected = dct(np.eye(8), norm="ortho", axis=0)
+        assert attacks._DCT.dtype == expected.dtype and attacks._DCT.shape == expected.shape
+        assert attacks._DCT.tobytes() == expected.tobytes()
 
 
 class TestCopyBudgets:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lumamark import cli, codec, errors, metrics
+from lumamark import cli, codec, errors, metrics, pixmap
 from lumamark.cli import main
 from lumamark.pixmap import (
     WatermarkBitmap,
@@ -169,6 +169,11 @@ class TestEmbedCommand:
                      "--dump-plan", str(tmp_path / "plan.txt")]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ppm", "plan.txt"]
 
+    def test_a_write_failing_midway_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._write_atomic(tmp_path / "out.ppm", b"P6\n", bytes(1 << 20), object())
+        assert not list(tmp_path.iterdir())
+
     def test_dump_plan_into_a_directory_writes_nothing(self, paths, tmp_path, capsys):
         (tmp_path / "plans").mkdir()
         code = main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"),
@@ -224,6 +229,25 @@ class TestExtractCommand:
         assert main(["extract", paths["img"], str(marked), str(b),
                      "--use-plan", str(plan_path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_use_plan_reads_only_the_rows_that_hold_carriers(self, paths, tmp_path, monkeypatch):
+        marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
+        assert main(["embed", paths["img"], paths["logo"], str(marked),
+                     "--dump-plan", str(plan_path)]) == 0
+        block_rows = [b.row for b in parse_plan(plan_path.read_text()).blocks]
+        span_bytes = (max(block_rows) - min(block_rows) + 1) * 8 * 512 * 3
+        requested = []
+
+        def pread(fd, n, offset, real_pread=os.pread):
+            requested.append(n)
+            return real_pread(fd, n, offset)
+
+        monkeypatch.setattr(pixmap.os, "pread", pread)
+        monkeypatch.setattr(pixmap, "read_rgb_image", None)  # a whole read would fail
+        assert main(["extract", paths["img"], str(marked), str(tmp_path / "w.pbm"),
+                     "--use-plan", str(plan_path)]) == 0
+        assert sorted(requested) == sorted(2 * [pixmap.RgbFile._PREFIX, span_bytes])
+        assert span_bytes <= 512 * 512 * 3 // 8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_default_delta_reaches_selection(self, logo, tmp_path, capsys):
@@ -413,6 +437,18 @@ class TestReportCommand:
 
 
 class TestConsoleEntry:
+    @pytest.mark.parametrize("argv", [["-c", "import lumamark"], ["-m", "lumamark", "--help"]],
+                             ids=["import", "help"])
+    def test_scipy_fft_stays_unimported(self, argv):
+        # -X importtime lists every module the process imports, by name.
+        result = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                                env=subprocess_env(), capture_output=True, text=True)
+        assert result.returncode == 0
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in result.stderr.splitlines() if line.startswith("import time:")}
+        assert {"numpy", "lumamark.attacks", "lumamark.cli"} <= imported
+        assert "scipy.fft" not in imported
+
     def test_module_invocation_smoke(self, paths, tmp_path):
         out = tmp_path / "m.ppm"
         result = subprocess.run(

@@ -4,8 +4,10 @@ import pytest
 from lumamark.colorspace import (
     RGB_TO_YCC,
     STRIP_ROWS,
+    YCC_TO_RGB,
     YcbcrImage,
     luminance,
+    pixels_to_ycc,
     rgb_to_ycbcr,
     round_half_away,
     ycbcr_to_rgb,
@@ -15,9 +17,11 @@ from lumamark.pixmap import RgbImage
 
 from support import gray_image, roundtrip_error
 
-# Frozen regression constant: exhaustive evaluation over all 16.7M RGB
-# triples found a worst-case round-trip error of exactly zero.
+# Frozen regression constants: exhaustive evaluation over all 16.7M RGB
+# triples found a worst-case round-trip error of exactly zero, and a worst
+# |YCC_TO_RGB @ RGB_TO_YCC @ p - p| before rounding of 0.07038.
 ROUNDTRIP_EMAX = 0
+PRE_ROUNDING_EMAX = 0.0704
 
 
 def _one_pixel(r, g, b):
@@ -119,11 +123,14 @@ class TestRoundtrip:
         # All 16,777,216 triples, swept as 256 one-row images.
         g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
         gb = np.stack([g.ravel(), b.ravel()], axis=1).astype(np.uint8)
-        worst = 0
+        worst, worst_pre_rounding = 0, 0.0
         for r in range(256):
-            plane = np.column_stack([np.full(65536, r, dtype=np.uint8), gb])
-            worst = max(worst, max(roundtrip_error(RgbImage(plane.reshape(1, 65536, 3)))))
+            plane = np.column_stack([np.full(65536, r, dtype=np.uint8), gb]).reshape(1, 65536, 3)
+            worst = max(worst, max(roundtrip_error(RgbImage(plane))))
+            pre_rounding = np.abs(pixels_to_ycc(plane) @ YCC_TO_RGB.T - plane).max()
+            worst_pre_rounding = max(worst_pre_rounding, float(pre_rounding))
         assert worst <= ROUNDTRIP_EMAX
+        assert 0.07 < worst_pre_rounding <= PRE_ROUNDING_EMAX
 
     def test_dense_random_sample_within_frozen_bound(self):
         rng = np.random.default_rng(987654321)

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumamark import codec
 from lumamark.attacks import compress_attack
+from lumamark.cli import _fmt
 from lumamark.errors import DimensionMismatch
-from lumamark.metrics import decide, psnr, similarity
+from lumamark.metrics import carrier_psnr, decide, psnr, similarity
 from lumamark.pixmap import RgbImage, WatermarkBitmap
+from lumamark.selection import select_blocks
+from lumamark.testimages import CORPUS_NAMES, random_watermark
 
 from support import dense_psnr, gray_image, random_bitmap, random_image
 
@@ -92,6 +96,27 @@ class TestPsnr:
         assert psnr(a, b) == pytest.approx(dense_psnr(a, b), rel=0, abs=1e-9)
         assert psnr(a, b) == psnr(b, a)
         assert psnr(a, RgbImage(a.pixels)) == math.inf
+
+
+class TestCarrierPsnr:
+    @pytest.mark.parametrize("alpha", [3, 60, 255], ids=["alpha3", "alpha60", "alpha255"])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_matches_psnr_to_the_last_ulps(self, corpus, name, alpha):
+        # alpha 60 and 255 clamp carriers at 255 and at 0.
+        img = corpus[name]
+        plan = select_blocks(img)
+        ys, xs = codec.embedded_pixel_coords(plan)
+        carriers = img.pixels[ys, xs]
+        for seed in range(8):
+            marked = codec.embed(img, random_watermark(seed), alpha, plan=plan)
+            want = psnr(img, marked)
+            got = carrier_psnr(carriers, marked.pixels[ys, xs], img.width * img.height)
+            assert abs(got - want) <= 1e-15 * want
+            assert _fmt(got) == _fmt(want)
+
+    def test_unchanged_carriers_are_infinite(self, corpus):
+        carriers = corpus["smooth_blobs"].pixels[:4, 0]
+        assert carrier_psnr(carriers, carriers, 512 * 512) == math.inf
 
 
 class TestSimilarity:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lumamark import pixmap
 from lumamark.errors import MalformedHeader, TruncatedPayload, WrongDimensions
 from lumamark.pixmap import (
+    RgbFile,
     RgbImage,
     WatermarkBitmap,
     read_rgb_image,
@@ -180,6 +182,7 @@ class TestReadWatermark:
 
 
 _ZEROS = b"0" * 1024
+_LONG_COMMENT = b"#" + b"c" * RgbFile._PREFIX + b"\n"  # longer than RgbFile's first read
 
 # Malformed input -> the exact error class and message the readers raise.
 MALFORMED = [
@@ -213,6 +216,12 @@ MALFORMED = [
                  "need 3 payload bytes, found 2", id="p6-one-byte-short"),
     pytest.param(read_rgb_image, b"P6\n1 1\n255\n" + bytes(4), MalformedHeader,
                  "1 trailing bytes after payload", id="p6-one-byte-long"),
+    pytest.param(read_rgb_image, b"P6" + _LONG_COMMENT + b"1 1\n255\n" + bytes(2),
+                 TruncatedPayload, "need 3 payload bytes, found 2", id="p6-long-comment-short"),
+    pytest.param(read_rgb_image, b"P6\n1 1" + _LONG_COMMENT + b"255\n" + bytes(4),
+                 MalformedHeader, "1 trailing bytes after payload", id="p6-long-comment-long"),
+    pytest.param(read_rgb_image, b"P6\n1 1\n" + _LONG_COMMENT[:-1], MalformedHeader,
+                 "unexpected end of header", id="p6-long-comment-then-end"),
     pytest.param(read_watermark, b"P4\n32 32\n" + bytes(127), TruncatedPayload,
                  "need 128 payload bytes, found 127", id="p4-one-byte-short"),
     pytest.param(read_watermark, b"P4\n32 32\n" + bytes(129), MalformedHeader,
@@ -230,11 +239,22 @@ MALFORMED = [
 ]
 
 
+def _read_rgb_file(path, rgb_file=RgbFile) -> RgbImage:
+    """Every row of the P6 file at ``path``, through an RgbFile."""
+    with open(path, "rb") as fh:
+        f = rgb_file(fh)
+        return RgbImage(f.rows(0, f.height))
+
+
 @pytest.mark.parametrize("read, data, error, message", MALFORMED)
-def test_malformed_input_error(read, data, error, message):
-    with pytest.raises(error) as info:
-        read(data)
-    assert (info.type, str(info.value)) == (error, message)
+def test_malformed_input_error(read, data, error, message, tmp_path):
+    # The P6 cases also go through RgbFile, from a file.
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    for read_one in [read, lambda _: _read_rgb_file(path)][: 2 if read is read_rgb_image else 1]:
+        with pytest.raises(error) as info:
+            read_one(data)
+        assert (info.type, str(info.value)) == (error, message)
 
 
 _SEPARATOR = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f"])
@@ -304,6 +324,61 @@ class TestNoisyInput:
             read(buffer(damaged))
         except (MalformedHeader, TruncatedPayload, WrongDimensions):
             pass
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(_noisy_files(), st.data())
+    def test_rgb_file_reads_like_read_rgb_image(self, tmp_path_factory, file, data):
+        # Damaged or not, read from first reads as short as one byte.
+        read, _, noisy, header_len = file
+        assume(read is read_rgb_image)
+        if data.draw(st.booleans(), label="damage"):
+            at = data.draw(st.integers(0, header_len - 1), label="at")
+            noisy = noisy[:at] + bytes([noisy[at] ^ data.draw(st.integers(1, 255))]) + noisy[at + 1:]
+        noisy = noisy[: data.draw(st.integers(0, len(noisy) + 1), label="length")]
+        prefix = data.draw(st.sampled_from([1, 2, 3, 7, RgbFile._PREFIX]), label="prefix")
+        path = tmp_path_factory.mktemp("rgb_file") / "in.ppm"
+        path.write_bytes(noisy)
+        outcomes = []
+        for read_one in (read_rgb_image, lambda _: _read_rgb_file(path, type(
+                "SmallPrefix", (RgbFile,), {"_PREFIX": prefix}))):
+            try:
+                outcomes.append(read_one(noisy))
+            except (MalformedHeader, TruncatedPayload) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestRgbFile:
+    def test_rows_are_the_span_asked_for_and_read_only(self, tmp_path):
+        img = random_image(np.random.default_rng(5), 7, 9)
+        path = tmp_path / "in.ppm"
+        path.write_bytes(b"P6 " + _LONG_COMMENT + b"7 9 255\n" + img.pixels.tobytes())
+        with open(path, "rb") as fh:
+            f = RgbFile(fh)
+            assert (f.width, f.height) == (7, 9)
+            for top, stop in [(0, 9), (2, 5), (8, 9), (4, 4)]:
+                rows = f.rows(top, stop)
+                assert np.array_equal(rows, img.pixels[top:stop])
+                assert not rows.flags.writeable
+
+    def test_short_read_is_a_truncated_payload(self, tmp_path, monkeypatch):
+        # A file that shrinks after its length was checked.
+        path = tmp_path / "in.ppm"
+        path.write_bytes(write_rgb_image(random_image(np.random.default_rng(6), 4, 3)))
+        real_pread = pixmap.os.pread
+
+        def short_pread(fd, n, offset):
+            return real_pread(fd, n, offset)[: -1 if offset else None]
+
+        monkeypatch.setattr(pixmap.os, "pread", short_pread)
+        with open(path, "rb") as fh:
+            f = RgbFile(fh)
+            assert f.rows(0, 0).shape == (0, 4, 3)
+            with pytest.raises(TruncatedPayload, match="^need 36 payload bytes, found 11$"):
+                f.rows(0, 1)
+            with pytest.raises(TruncatedPayload, match="^need 36 payload bytes, found 35$"):
+                f.rows(1, 3)
 
 
 class TestCopyBudgets:
