@@ -3,15 +3,23 @@
 Exit codes: 0 success, 1 I/O or file-format trouble (``OSError`` and
 ``ValueError``, which the file-format errors subclass), 2 every other
 toolkit error (image too small, not enough candidate blocks, dimension
-mismatch) and invalid usage. Each command reads all of its inputs, then
+mismatch) and invalid usage. Each command checks all of its inputs, then
 computes, then writes; each output goes to a temporary name and is renamed
 into place, so a failing run leaves no output file behind.
+
+``embed`` reads the cover once and writes it back with only the rows that
+hold the 1024 carriers taken from a patched copy; its PSNR comes from the
+carriers alone. ``extract`` checks both P6 headers and lengths, then reads
+only the rows that hold the carriers: of both images with ``--use-plan``,
+of the watermarked image otherwise (the plan needs the whole original). A
+pipe, which has no offsets to read at, is read in full.
 """
 
 import argparse
 import contextlib
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -132,7 +140,10 @@ def cmd_extract(args) -> int:
     _check_outputs(args.output)
     with contextlib.ExitStack() as files:
         def rgb_file(path):
-            return pixmap.RgbFile(files.enter_context(open(Path(path), "rb")))
+            fh = files.enter_context(open(Path(path), "rb"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return pixmap.RgbFile(fh)
+            return pixmap.read_rgb_image(fh.read())  # a pipe has no offsets to read at
 
         # With a plan, only the carriers' rows of each image are read.
         original = rgb_file(args.original) if args.use_plan else _read_image(args.original)

@@ -67,8 +67,9 @@ def _decode(original_carriers: np.ndarray, marked_carriers: np.ndarray) -> np.nd
 
 
 def _mark(carriers: np.ndarray, bits: np.ndarray, alpha: int) -> np.ndarray:
-    """The (n, 3) uint8 carriers with each one's Y moved by +alpha (bit 1) or
-    -alpha (bit 0), rebuilt to 8-bit RGB; ``embed`` without the image."""
+    """``embed`` on the (n, 3) uint8 carriers alone, with its checks of alpha
+    and its warnings: each Y moves by +alpha (bit 1) or -alpha (bit 0), and
+    the carriers are rebuilt to 8-bit RGB."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1 (0 would make the sign test vacuous)")
     if alpha < 2:

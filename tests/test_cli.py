@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -248,6 +249,23 @@ class TestExtractCommand:
                      "--use-plan", str(plan_path)]) == 0
         assert sorted(requested) == sorted(2 * [pixmap.RgbFile._PREFIX, span_bytes])
         assert span_bytes <= 512 * 512 * 3 // 8
+
+    @pytest.mark.parametrize("use_plan", [False, True], ids=["select", "use-plan"])
+    def test_reads_a_watermarked_image_from_a_pipe(self, paths, tmp_path, use_plan):
+        marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
+        assert main(["embed", paths["img"], paths["logo"], str(marked),
+                     "--dump-plan", str(plan_path)]) == 0
+        fifo = tmp_path / "marked.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(marked.read_bytes(),), daemon=True)
+        writer.start()
+        by_pipe, by_file = tmp_path / "pipe.pbm", tmp_path / "file.pbm"
+        extra = ["--use-plan", str(plan_path)] if use_plan else []
+        assert main(["extract", paths["img"], str(fifo), str(by_pipe), *extra]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert main(["extract", paths["img"], str(marked), str(by_file), *extra]) == 0
+        assert by_pipe.read_bytes() == by_file.read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_default_delta_reaches_selection(self, logo, tmp_path, capsys):

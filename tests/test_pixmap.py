@@ -239,19 +239,30 @@ MALFORMED = [
 ]
 
 
-def _read_rgb_file(path, rgb_file=RgbFile) -> RgbImage:
-    """Every row of the P6 file at ``path``, through an RgbFile."""
+def _read_rgb_file(path, prefix=RgbFile._PREFIX) -> RgbImage:
+    """Every row of the P6 file at ``path``, through an RgbFile whose first
+    header read is ``prefix`` bytes long."""
     with open(path, "rb") as fh:
-        f = rgb_file(fh)
+        f = type("RgbFileUnderTest", (RgbFile,), {"_PREFIX": prefix})(fh)
         return RgbImage(f.rows(0, f.height))
+
+
+def _outcome(read, *args):
+    """The image read, or the class and message of the format error raised."""
+    try:
+        return read(*args)
+    except (MalformedHeader, TruncatedPayload) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("read, data, error, message", MALFORMED)
 def test_malformed_input_error(read, data, error, message, tmp_path):
-    # The P6 cases also go through RgbFile, from a file.
-    path = tmp_path / "input"
-    path.write_bytes(data)
-    for read_one in [read, lambda _: _read_rgb_file(path)][: 2 if read is read_rgb_image else 1]:
+    readers = [read]
+    if read is read_rgb_image:  # the P6 cases also go through RgbFile, from a file
+        path = tmp_path / "input.ppm"
+        path.write_bytes(data)
+        readers.append(lambda _: _read_rgb_file(path))
+    for read_one in readers:
         with pytest.raises(error) as info:
             read_one(data)
         assert (info.type, str(info.value)) == (error, message)
@@ -325,28 +336,22 @@ class TestNoisyInput:
         except (MalformedHeader, TruncatedPayload, WrongDimensions):
             pass
 
-
     @settings(max_examples=120, deadline=None)
     @given(_noisy_files(), st.data())
     def test_rgb_file_reads_like_read_rgb_image(self, tmp_path_factory, file, data):
-        # Damaged or not, read from first reads as short as one byte.
+        # Damaged or not, whatever the length of the first read.
         read, _, noisy, header_len = file
         assume(read is read_rgb_image)
         if data.draw(st.booleans(), label="damage"):
             at = data.draw(st.integers(0, header_len - 1), label="at")
             noisy = noisy[:at] + bytes([noisy[at] ^ data.draw(st.integers(1, 255))]) + noisy[at + 1:]
         noisy = noisy[: data.draw(st.integers(0, len(noisy) + 1), label="length")]
-        prefix = data.draw(st.sampled_from([1, 2, 3, 7, RgbFile._PREFIX]), label="prefix")
+        # A first read that ends inside the header, or right at its end.
+        ends = st.sampled_from([header_len, header_len + 1, RgbFile._PREFIX])
+        prefix = data.draw(ends | st.integers(1, header_len), label="prefix")
         path = tmp_path_factory.mktemp("rgb_file") / "in.ppm"
         path.write_bytes(noisy)
-        outcomes = []
-        for read_one in (read_rgb_image, lambda _: _read_rgb_file(path, type(
-                "SmallPrefix", (RgbFile,), {"_PREFIX": prefix}))):
-            try:
-                outcomes.append(read_one(noisy))
-            except (MalformedHeader, TruncatedPayload) as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]
+        assert _outcome(_read_rgb_file, path, prefix) == _outcome(read_rgb_image, noisy)
 
 
 class TestRgbFile:
@@ -361,6 +366,14 @@ class TestRgbFile:
                 rows = f.rows(top, stop)
                 assert np.array_equal(rows, img.pixels[top:stop])
                 assert not rows.flags.writeable
+
+    @pytest.mark.parametrize("tail", [b"\n" + bytes(3), b"5\n" + bytes(3), b" 5"],
+                             ids=["whole", "maxval-runs-on", "short"])
+    def test_a_first_read_ending_at_the_maxval_reads_on(self, tmp_path, tail):
+        data = b"P6\n1 1\n255" + tail
+        path = tmp_path / "in.ppm"
+        path.write_bytes(data)
+        assert _outcome(_read_rgb_file, path, 10) == _outcome(read_rgb_image, data)
 
     def test_short_read_is_a_truncated_payload(self, tmp_path, monkeypatch):
         # A file that shrinks after its length was checked.
