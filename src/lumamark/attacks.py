@@ -100,7 +100,7 @@ def quant_steps(quality: float) -> np.ndarray:
 # The orthonormal 8-point DCT-II as a matrix, row k the k-th basis vector:
 # _DCT @ x is dct(x, norm="ortho"). The literals are the FFT's entries (a test
 # checks each bit), within 1.1 ulp of the true cosines; np.cos of the rounded
-# angles errs by up to 16. Only _exact_blocks imports scipy.
+# angles errs by up to 16.
 _DCT = np.array(
     [
         [0.3535533905932738, 0.3535533905932738, 0.3535533905932738, 0.3535533905932738,
@@ -236,7 +236,7 @@ def _exact_blocks(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The arithmetic that defines the attack's bytes, on (n, 8, 8, 3) uint8
     blocks: the colour matrices, FFT ``dctn``/``idctn`` and
     ``round_half_away``."""
-    from scipy.fft import dctn, idctn  # here, so only an attack imports scipy
+    from scipy.fft import dctn, idctn  # here, so that only a tie block loads scipy
 
     ycc = pixels_to_ycc(blocks)
     coeffs = dctn(ycc, type=2, norm="ortho", axes=(1, 2))
