@@ -9,10 +9,10 @@ into place, so a failing run leaves no output file behind.
 
 ``embed`` reads the cover once and writes it back with only the rows that
 hold the 1024 carriers taken from a patched copy; its PSNR comes from the
-carriers alone. ``extract`` checks both P6 headers and lengths, then reads
-only the rows that hold the carriers: of both images with ``--use-plan``,
-of the watermarked image otherwise (the plan needs the whole original). A
-pipe, which has no offsets to read at, is read in full.
+carriers alone. ``extract`` opens both P6 files as ``RgbFile``s, which check
+the headers and lengths, and ``codec.extract`` reads only the rows that
+hold the carriers. Without ``--use-plan`` the original is read in full, as
+selection needs it; so is a pipe, which has no offsets to read at.
 """
 
 import argparse
@@ -101,15 +101,6 @@ def _embed(args):
     return original, watermark, selection.select_blocks(original, args.delta)
 
 
-def _carriers(image, ys, xs):
-    """The pixels at (ys, xs) of an RgbImage, or of an RgbFile, from which
-    only the span of rows that holds them is read."""
-    if isinstance(image, pixmap.RgbImage):
-        return image.pixels[ys, xs]
-    top = int(ys.min())
-    return image.rows(top, int(ys.max()) + 1)[ys - top, xs]
-
-
 def _print_match(reference, extracted) -> None:
     sigma = metrics.similarity(reference, extracted)
     print(f"sigma={_fmt(sigma)}")
@@ -153,11 +144,7 @@ def cmd_extract(args) -> int:
             plan = selection.parse_plan(Path(args.use_plan).read_text("ascii"))
         else:
             plan = selection.select_blocks(original, args.delta)
-        codec._check_sizes(original, watermarked)
-        codec._check_grid(plan, original.width, original.height)
-        ys, xs = codec.embedded_pixel_coords(plan)
-        bits = codec._decode(_carriers(original, ys, xs), _carriers(watermarked, ys, xs))
-    extracted = pixmap.WatermarkBitmap(bits.reshape(pixmap.WATERMARK_SIDE, -1))
+        extracted = codec.extract(original, watermarked, plan=plan)
     _write_atomic(Path(args.output), pixmap.write_watermark(extracted))
     if reference is not None:
         _print_match(reference, extracted)

@@ -4,8 +4,9 @@ Bit-to-pixel mapping, shared by both directions: watermark bit i (row-major
 over the 32x32 bitmap) lands in block plan.blocks[i // 64], at row-major
 position i % 64 inside that 8x8 block. White bits add alpha to the pixel's
 Y value, black bits subtract it. Extraction is non-blind: it recomputes the
-plan from the original image's Y plane and reads the sign of Y_w - Y, where
-a difference of exactly zero decodes as white.
+plan from the original image's Y plane and reads the sign of Y_w - Y in exact
+integer arithmetic (1000 * Y = 299R + 587G + 114B), where a difference of
+exactly zero decodes as white.
 """
 
 import warnings
@@ -14,10 +15,11 @@ import numpy as np
 
 from .colorspace import pixels_to_ycc, ycc_to_pixels
 from .errors import DimensionMismatch
-from .pixmap import WATERMARK_BITS, WATERMARK_SIDE, RgbImage, WatermarkBitmap
+from .pixmap import WATERMARK_BITS, WATERMARK_SIDE, RgbFile, RgbImage, WatermarkBitmap
 from .selection import BLOCK_SIZE, SelectionPlan, partition_grid, select_blocks
 
 DEFAULT_ALPHA = 3
+_Y1000 = np.array([299, 587, 114], dtype=np.int32)  # 1000 * RGB_TO_YCC[0]
 
 
 def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -32,37 +34,33 @@ def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
-def _check_grid(plan: SelectionPlan, width: int, height: int) -> None:
-    """Raise DimensionMismatch unless the plan's grid is a width x height image's."""
-    if (plan.grid_cols, plan.grid_rows) != partition_grid(width, height):
-        raise DimensionMismatch(
-            f"plan grid {plan.grid_cols}x{plan.grid_rows} does not match "
-            f"a {width}x{height} image"
-        )
-
-
-def _check_sizes(original, watermarked) -> None:
-    """Raise DimensionMismatch unless the images (or RgbFiles) agree in size."""
-    if (original.width, original.height) != (watermarked.width, watermarked.height):
-        raise DimensionMismatch(
-            f"original is {original.width}x{original.height}, "
-            f"watermarked is {watermarked.width}x{watermarked.height}"
-        )
-
-
-def _plan_for(original: RgbImage, plan: SelectionPlan | None) -> SelectionPlan:
+def _plan_for(original: RgbImage | RgbFile, plan: SelectionPlan | None) -> SelectionPlan:
     """The given plan, checked against the image's grid, or the default-delta
     plan of the original when none is given."""
     if plan is None:
         return select_blocks(original)
-    _check_grid(plan, original.width, original.height)
+    if (plan.grid_cols, plan.grid_rows) != partition_grid(original.width, original.height):
+        raise DimensionMismatch(
+            f"plan grid {plan.grid_cols}x{plan.grid_rows} does not match "
+            f"a {original.width}x{original.height} image"
+        )
     return plan
+
+
+def _carriers(image: RgbImage | RgbFile, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The pixels at (ys, xs) of an RgbImage, or of an RgbFile, from which
+    only the span of rows that holds them is read."""
+    if isinstance(image, RgbImage):
+        return image.pixels[ys, xs]
+    top = int(ys.min())
+    return image.rows(top, int(ys.max()) + 1)[ys - top, xs]
 
 
 def _decode(original_carriers: np.ndarray, marked_carriers: np.ndarray) -> np.ndarray:
     """One bit per carrier, as uint8: 1 (white) where the marked Y is at least
-    the original's, so a difference of exactly zero decodes white."""
-    diff = pixels_to_ycc(marked_carriers)[:, 0] - pixels_to_ycc(original_carriers)[:, 0]
+    the original's. The sign of the integer 1000 * dY is exact (an exact
+    predicate, as in Shewchuk 1997): a zero is a true tie, and decodes white."""
+    diff = (marked_carriers.astype(np.int32) - original_carriers) @ _Y1000
     return (diff >= 0).astype(np.uint8)
 
 
@@ -111,7 +109,10 @@ def embed(
 
     Without a plan the blocks are selected from the original at the default
     delta; pass ``plan=select_blocks(original, delta)`` for another delta.
-    alpha must be at least 1, and alpha 1 warns.
+    alpha must be at least 1, and alpha 1 warns. With an integer alpha every
+    carrier's value before rounding lies at least 0.5 - 0.0704 from a
+    half-integer, so float noise cannot change a byte; a non-integer alpha
+    has no such margin.
     """
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
     marked = _mark(original.pixels[ys, xs], watermark.bits.reshape(-1), alpha)
@@ -121,16 +122,22 @@ def embed(
 
 
 def extract(
-    original: RgbImage,
-    watermarked: RgbImage,
+    original: RgbImage | RgbFile,
+    watermarked: RgbImage | RgbFile,
     plan: SelectionPlan | None = None,
 ) -> WatermarkBitmap:
     """Recover the watermark by comparing carrier-pixel luminance signs.
 
     Both images are read at the carriers only; the original's whole
-    luminance is read just when the plan has to be recomputed.
+    luminance is read just when the plan has to be recomputed. Of an
+    ``RgbFile`` only the rows that hold the carriers are read, after the
+    size and grid checks; an ``RgbFile`` original must come with a plan.
     """
-    _check_sizes(original, watermarked)
+    if (original.width, original.height) != (watermarked.width, watermarked.height):
+        raise DimensionMismatch(
+            f"original is {original.width}x{original.height}, "
+            f"watermarked is {watermarked.width}x{watermarked.height}"
+        )
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
-    bits = _decode(original.pixels[ys, xs], watermarked.pixels[ys, xs])
+    bits = _decode(_carriers(original, ys, xs), _carriers(watermarked, ys, xs))
     return WatermarkBitmap(bits.reshape(WATERMARK_SIDE, WATERMARK_SIDE))

@@ -93,9 +93,9 @@ def luminance(pixels: np.ndarray) -> np.ndarray:
     Y alone. It agrees with the Y of ``pixels_to_ycc`` (and of the reference
     conversion ``rgb_to_ycbcr``) to within a few ulp, not bit for bit (a
     matrix-vector product rounds differently from the 3x3 matrix product),
-    so code whose rounding could flip on last-ulp noise, such as the codec's
-    carriers, keeps using ``pixels_to_ycc``. Y is linear: the luminance of a
-    channel difference is the difference of the two luminances.
+    so code whose rounding could flip on last-ulp noise keeps using
+    ``pixels_to_ycc``. Y is linear: the luminance of a channel difference is
+    the difference of the two luminances.
     """
     return pixels @ RGB_TO_YCC[0]
 

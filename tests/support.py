@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own code paths: the spiral
 oracle walks the lattice with a visited-set turning rule instead of run
 lengths, the candidate oracle recomputes every log-average with plain
 math over Python loops, and the dense codec oracle converts and rebuilds
-whole images where the library touches only the carrier pixels. The dense
+whole images where the library touches only the carrier pixels; its extract
+takes the exact integer 1000 * Y planes of both whole images. The dense
 PSNR oracle converts both whole images and subtracts their Y planes, where
 the library takes the luminance of the channel difference strip by strip
 and skips equal strips. The dense log-statistics oracle takes the log of a
@@ -200,15 +201,19 @@ def dense_embed(
     return ycbcr_to_rgb(YcbcrImage(y, ycc.cb, ycc.cr))
 
 
+def dense_y1000(img: RgbImage) -> np.ndarray:
+    """1000 * Y of every pixel, exactly: the int32 plane 299R + 587G + 114B."""
+    r, g, b = np.moveaxis(img.pixels.astype(np.int32), -1, 0)
+    return 299 * r + 587 * g + 114 * b
+
+
 def dense_extract(original: RgbImage, watermarked: RgbImage, plan=None) -> WatermarkBitmap:
-    """Reference extract: convert both whole images, read the sign of the Y
-    difference at the carriers (zero decodes white)."""
-    ycc_orig = rgb_to_ycbcr(original)
-    ycc_marked = rgb_to_ycbcr(watermarked)
+    """Reference extract: the exact 1000 * Y planes of both whole images, and
+    the sign of their difference at the carriers (zero decodes white)."""
     if plan is None:
-        plan = select_blocks(ycc_orig)
+        plan = select_blocks(rgb_to_ycbcr(original))
     ys, xs = embedded_pixel_coords(plan)
-    diff = ycc_marked.y[ys, xs] - ycc_orig.y[ys, xs]
+    diff = dense_y1000(watermarked)[ys, xs] - dense_y1000(original)[ys, xs]
     return WatermarkBitmap((diff >= 0).astype(np.uint8).reshape(32, 32))
 
 

@@ -16,7 +16,7 @@ from lumamark.pixmap import (
     write_rgb_image,
     write_watermark,
 )
-from lumamark.selection import parse_plan, plan_summary, select_blocks
+from lumamark.selection import parse_plan, plan_summary, select_blocks, serialize_plan
 from lumamark.testimages import CORPUS_NAMES, random_watermark
 
 from support import (
@@ -249,6 +249,50 @@ class TestExtractCommand:
                      "--use-plan", str(plan_path)]) == 0
         assert sorted(requested) == sorted(2 * [pixmap.RgbFile._PREFIX, span_bytes])
         assert span_bytes <= 512 * 512 * 3 // 8
+
+    def test_without_a_plan_reads_the_watermarked_rows_only(self, paths, tmp_path, monkeypatch):
+        marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
+        assert main(["embed", paths["img"], paths["logo"], str(marked),
+                     "--dump-plan", str(plan_path)]) == 0
+        block_rows = [b.row for b in parse_plan(plan_path.read_text()).blocks]
+        span_bytes = (max(block_rows) - min(block_rows) + 1) * 8 * 512 * 3
+        requested, whole_reads = [], []
+
+        def pread(fd, n, offset, real_pread=os.pread):
+            requested.append(n)
+            return real_pread(fd, n, offset)
+
+        def read_rgb_image(data, real_read=pixmap.read_rgb_image):
+            whole_reads.append(len(data))
+            return real_read(data)
+
+        monkeypatch.setattr(pixmap.os, "pread", pread)
+        monkeypatch.setattr(pixmap, "read_rgb_image", read_rgb_image)
+        assert main(["extract", paths["img"], str(marked), str(tmp_path / "w.pbm")]) == 0
+        assert sorted(requested) == sorted([pixmap.RgbFile._PREFIX, span_bytes])
+        assert whole_reads == [os.path.getsize(paths["img"])]
+
+    @pytest.mark.parametrize("fault", ["sizes", "sizes-use-plan", "grid", "sizes-and-grid"])
+    def test_error_is_the_librarys(self, corpus, paths, tmp_path, capsys, fault):
+        original, narrow = corpus["smooth_blobs"], gray_image(10, 256, 512)  # at paths["img"]
+        narrow_path = tmp_path / "narrow.ppm"
+        narrow_path.write_bytes(write_rgb_image(narrow))
+        watermarked, watermarked_path = (
+            (original, paths["img"]) if fault == "grid" else (narrow, str(narrow_path))
+        )
+        plan, extra = None, []
+        if fault != "sizes":
+            grid_of = original if fault == "sizes-use-plan" else gray_image(128, 256, 256)
+            plan = select_blocks(grid_of)
+            plan_path = tmp_path / "plan.txt"
+            plan_path.write_text(serialize_plan(plan))
+            extra = ["--use-plan", str(plan_path)]
+        with pytest.raises(errors.LumamarkError) as exc:
+            codec.extract(original, watermarked, plan=plan)
+        out = tmp_path / "w.pbm"
+        assert main(["extract", paths["img"], watermarked_path, str(out), *extra]) == 2
+        assert capsys.readouterr().err == f"error: {type(exc.value).__name__}: {exc.value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("use_plan", [False, True], ids=["select", "use-plan"])
     def test_reads_a_watermarked_image_from_a_pipe(self, paths, tmp_path, use_plan):

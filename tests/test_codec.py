@@ -1,3 +1,4 @@
+import contextlib
 import re
 import warnings
 
@@ -6,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumamark import codec
 from lumamark.attacks import compress_attack
 from lumamark.codec import DEFAULT_ALPHA, embed, embedded_pixel_coords, extract
-from lumamark.colorspace import rgb_to_ycbcr
+from lumamark.colorspace import RGB_TO_YCC, rgb_to_ycbcr
 from lumamark.errors import DimensionMismatch, InsufficientCandidates
 from lumamark.metrics import similarity
-from lumamark.pixmap import RgbImage, WatermarkBitmap
+from lumamark.pixmap import RgbFile, RgbImage, WatermarkBitmap, write_rgb_image
 from lumamark.selection import select_blocks
+from lumamark.testimages import CORPUS_NAMES
 
 from support import (
     checkerboard_bitmap,
     delta_sensitive_image,
     dense_embed,
     dense_extract,
+    dense_y1000,
     gray_image,
     random_bitmap,
     random_image,
@@ -28,6 +32,16 @@ from support import (
 
 def all_white():
     return WatermarkBitmap(np.ones((32, 32), dtype=np.uint8))
+
+
+# Integer steps (dR, dG, dB) with 299 dR + 587 dG + 114 dB = 0: each keeps a
+# pixel's 1000 * Y, so it must keep the bit that pixel decodes to.
+SAME_Y_STEPS = np.array([
+    (r, g, -(299 * r + 587 * g) // 114)
+    for r in range(-60, 61)
+    for g in range(-60, 61)
+    if (r, g) != (0, 0) and (299 * r + 587 * g) % 114 == 0 and abs(299 * r + 587 * g) <= 60 * 114
+])
 
 
 class TestEmbedParams:
@@ -219,6 +233,94 @@ class TestExtract:
         assert extract(img, embed(img, logo, alpha=5)) == logo
 
 
+class TestExactSignTest:
+    """The decode compares 1000 * Y, which is an integer, so ties are exact."""
+
+    def test_integer_weights_are_1000_times_the_luminance_row(self):
+        assert np.array_equal(codec._Y1000, 1000 * RGB_TO_YCC[0])
+
+    @pytest.mark.parametrize("first,second", [((0, 0, 34), (11, 1, 0)), ((11, 1, 0), (0, 0, 34))])
+    def test_equal_luminance_pair_decodes_white(self, first, second):
+        # Both triples have 1000 * Y = 3876; their float Y differ by 4.4e-16.
+        original = RgbImage(np.full((64, 64, 3), first, dtype=np.uint8))
+        marked = RgbImage(np.full((64, 64, 3), second, dtype=np.uint8))
+        assert extract(original, marked) == all_white()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(64, 140),
+        height=st.integers(64, 140),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.integers(2, 8),
+    )
+    def test_carriers_of_equal_luminance_decode_alike(self, width, height, seed, alpha):
+        rng = np.random.default_rng(seed)
+        img = random_image(rng, width, height)
+        plan = select_blocks(img)
+        ys, xs = embedded_pixel_coords(plan)
+        marked = embed(img, random_bitmap(rng), alpha, plan=plan)
+        for test in (marked, img):  # against the original itself every carrier ties
+            carriers = test.pixels[ys, xs].astype(np.int32)
+            moved = carriers[:, None, :] + SAME_Y_STEPS
+            fits = ((moved >= 0) & (moved <= 255)).all(axis=2)
+            pick = np.where(fits, rng.random(fits.shape), -1.0).argmax(axis=1)
+            replaced = np.where(fits.any(axis=1)[:, None], moved[np.arange(pick.size), pick], carriers)
+            assert np.count_nonzero((replaced != carriers).any(axis=1)) > 900
+            pixels = test.pixels.copy()
+            pixels[ys, xs] = replaced
+            assert extract(img, RgbImage(pixels), plan=plan) == extract(img, test, plan=plan)
+
+
+class TestRgbFileSources:
+    """extract reads the carrier rows of RgbFiles as it reads RgbImages, and
+    checks them in the same order with the same errors."""
+
+    @staticmethod
+    def _open(files, path, img):
+        path.write_bytes(write_rgb_image(img))
+        return RgbFile(files.enter_context(open(path, "rb")))
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_same_bitmap_as_from_images(self, corpus, logo, tmp_path, name):
+        img = corpus[name]
+        plan = select_blocks(img)
+        marked = embed(img, logo, plan=plan)
+        with contextlib.ExitStack() as files:
+            original = self._open(files, tmp_path / "original.ppm", img)
+            for i, test in enumerate((marked, compress_attack(marked, 0.5))):
+                expected = extract(img, test, plan=plan)
+                test_file = self._open(files, tmp_path / f"test{i}.ppm", test)
+                assert extract(original, test_file, plan=plan) == expected
+                assert extract(img, test_file, plan=plan) == expected
+
+    def _messages(self, tmp_path, original, watermarked, plan):
+        """extract's DimensionMismatch message on the images and on their files."""
+        with pytest.raises(DimensionMismatch) as in_memory:
+            extract(original, watermarked, plan=plan)
+        with contextlib.ExitStack() as files, pytest.raises(DimensionMismatch) as from_files:
+            extract(
+                self._open(files, tmp_path / "original.ppm", original),
+                self._open(files, tmp_path / "watermarked.ppm", watermarked),
+                plan=plan,
+            )
+        return str(in_memory.value), str(from_files.value)
+
+    def test_size_mismatch(self, tmp_path):
+        img = gray_image(128, 64, 64)
+        messages = self._messages(tmp_path, img, gray_image(128, 56, 64), select_blocks(img))
+        assert messages == 2 * ("original is 64x64, watermarked is 56x64",)
+
+    def test_plan_of_another_grid(self, tmp_path):
+        img, plan = gray_image(128, 64, 64), select_blocks(gray_image(128, 128, 128))
+        messages = self._messages(tmp_path, img, img, plan)
+        assert messages == 2 * ("plan grid 16x16 does not match a 64x64 image",)
+
+    def test_size_mismatch_is_reported_before_the_grid(self, tmp_path):
+        img, plan = gray_image(128, 64, 64), select_blocks(gray_image(128, 128, 128))
+        messages = self._messages(tmp_path, img, gray_image(128, 56, 64), plan)
+        assert messages == 2 * ("original is 64x64, watermarked is 56x64",)
+
+
 class TestDenseOracle:
     """The carrier-only codec against whole-image conversion and rebuild."""
 
@@ -286,7 +388,7 @@ class TestExactReversibility:
         # realised luminance change has the sign its bit asks for.
         ys, xs = embedded_pixel_coords(plan)
         dense = dense_embed(img, wm, alpha, plan)
-        realised = rgb_to_ycbcr(dense).y - rgb_to_ycbcr(img).y
+        realised = dense_y1000(dense) - dense_y1000(img)
         white = wm.bits.reshape(-1) == 1
         unable = int(np.count_nonzero((realised[ys, xs] >= 0) != white))
 
