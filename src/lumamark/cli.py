@@ -34,13 +34,6 @@ def _alpha_arg(text: str) -> int:
     return value
 
 
-def _delta_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("delta must be finite and positive")
-    return value
-
-
 def _quality_arg(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -95,10 +88,10 @@ def _fmt(value: float) -> str:
 
 
 def _embed(args):
-    """Read the original and the watermark and select at --delta."""
+    """Read the original and the watermark and select the plan."""
     original = _read_image(args.original)
     watermark = _read_watermark(args.watermark)
-    return original, watermark, selection.select_blocks(original, args.delta)
+    return original, watermark, selection.select_blocks(original)
 
 
 def _print_match(reference, extracted) -> None:
@@ -140,10 +133,8 @@ def cmd_extract(args) -> int:
         original = rgb_file(args.original) if args.use_plan else _read_image(args.original)
         watermarked = rgb_file(args.watermarked)
         reference = _read_watermark(args.reference) if args.reference else None
-        if args.use_plan:
-            plan = selection.parse_plan(Path(args.use_plan).read_text("ascii"))
-        else:
-            plan = selection.select_blocks(original, args.delta)
+        plan = (selection.parse_plan(Path(args.use_plan).read_text("ascii"))
+                if args.use_plan else None)
         extracted = codec.extract(original, watermarked, plan=plan)
     _write_atomic(Path(args.output), pixmap.write_watermark(extracted))
     if reference is not None:
@@ -205,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     embedding.add_argument("original", help="cover image (P6)")
     embedding.add_argument("watermark", help="32x32 watermark (P1/P4)")
     embedding.add_argument("--alpha", type=_alpha_arg, default=codec.DEFAULT_ALPHA)
-    embedding.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
 
     p = sub.add_parser("embed", parents=[embedding],
                        help="embed a watermark into a P6 image")
@@ -218,10 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("watermarked", help="watermarked image (P6)")
     p.add_argument("output", help="extracted watermark to write (P4)")
     p.add_argument("--reference", metavar="PBM", help="print sigma against this watermark")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--delta", type=_delta_arg, default=selection.DEFAULT_DELTA)
-    group.add_argument("--use-plan", metavar="PATH",
-                       help="load a selection plan instead of recomputing")
+    p.add_argument("--use-plan", metavar="PATH",
+                   help="load a selection plan instead of recomputing")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("attack", help="apply one deterministic attack")

@@ -35,9 +35,11 @@ def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plan_for(original: RgbImage | RgbFile, plan: SelectionPlan | None) -> SelectionPlan:
-    """The given plan, checked against the image's grid, or the default-delta
-    plan of the original when none is given."""
+    """The given plan, checked against the image's grid, or the plan selected
+    from the original when none is given."""
     if plan is None:
+        if isinstance(original, RgbFile):
+            raise ValueError("an RgbFile original needs a plan: selection reads every pixel")
         return select_blocks(original)
     if (plan.grid_cols, plan.grid_rows) != partition_grid(original.width, original.height):
         raise DimensionMismatch(
@@ -107,12 +109,10 @@ def embed(
     bit (a white bit with dY < 0, a black bit with dY >= 0): extraction
     reads those carriers wrong even from the unattacked image.
 
-    Without a plan the blocks are selected from the original at the default
-    delta; pass ``plan=select_blocks(original, delta)`` for another delta.
-    alpha must be at least 1, and alpha 1 warns. With an integer alpha every
-    carrier's value before rounding lies at least 0.5 - 0.0704 from a
-    half-integer, so float noise cannot change a byte; a non-integer alpha
-    has no such margin.
+    Without a plan the blocks are selected from the original. alpha must be
+    at least 1, and alpha 1 warns. With an integer alpha every carrier's
+    value before rounding lies at least 0.5 - 0.0704 from a half-integer, so
+    float noise cannot change a byte; a non-integer alpha has no such margin.
     """
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
     marked = _mark(original.pixels[ys, xs], watermark.bits.reshape(-1), alpha)

@@ -83,7 +83,7 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero (deterministic everywhere)."""
     out = np.copysign(0.5, x)
     out += x
-    return np.trunc(out, out=out) if out.ndim else np.trunc(out)
+    return np.trunc(out, out=out)
 
 
 def luminance(pixels: np.ndarray) -> np.ndarray:

@@ -185,7 +185,8 @@ def write_rgb_image(img: RgbImage) -> bytes:
 
 class RgbFile:
     """A P6 file open for binary reading, whose rows are read on demand. It
-    checks the header, separator and length as ``read_rgb_image`` does."""
+    checks the header, separator and length as ``read_rgb_image`` does. It
+    reads with ``os.pread``, so it needs a POSIX system."""
 
     _PREFIX = 4096  # bytes of the first header read
 

@@ -5,7 +5,7 @@ square spiral outward from the grid center, whose log-average luminance is
 at least the log-average luminance of the entire image.
 
 The statistics stream through strips of ``STRIP_ROWS`` rows, so no Y plane
-is built, and they equal the dense plane's ``log(delta + Y).mean()`` and
+is built, and they equal the dense plane's ``log(DELTA + Y).mean()`` and
 block ``.mean(axis=(1, 3))`` bit for bit:
 
 - A strip's Y is the same matrix-vector product per row as ``luminance``,
@@ -34,18 +34,13 @@ from .pixmap import RgbImage
 BLOCK_SIZE = 8
 PLAN_BLOCKS = 16
 
-# Additive guard inside the log, so completely black pixels stay finite.
-DEFAULT_DELTA = 0.0001
+# Additive guard inside the log (Reinhard et al. 2002), so black pixels stay finite.
+DELTA = 0.0001
 
 # Candidate ties are compared in the log domain with this slack, so that
 # mathematically equal averages (uniform regions) survive the differing
 # summation orders of block and whole-image means (noise is ~1e-15).
 TIE_TOLERANCE = 1e-9
-
-
-def _check_finite_positive(name: str, value: float) -> None:
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class BlockRef(NamedTuple):
@@ -61,11 +56,11 @@ class SelectionPlan:
     grid_cols: int
     grid_rows: int
     image_log_avg: float
-    delta: float
 
     def __post_init__(self):
-        _check_finite_positive("delta", self.delta)
-        _check_finite_positive("image_log_avg", self.image_log_avg)
+        value = self.image_log_avg
+        if not 0 < value < np.inf:
+            raise ValueError(f"image_log_avg must be finite and positive, got {value!r}")
         if len(self.blocks) != PLAN_BLOCKS:
             raise ValueError(f"plan must hold {PLAN_BLOCKS} blocks, got {len(self.blocks)}")
         if len(set(self.blocks)) != PLAN_BLOCKS:
@@ -75,20 +70,19 @@ class SelectionPlan:
                 raise ValueError(f"block {b} outside {self.grid_cols}x{self.grid_rows} grid")
 
 
-def _check_logs_defined(y: np.ndarray, delta: float) -> None:
+def _check_logs_defined(y: np.ndarray) -> None:
     y_min = float(y.min())
-    if not delta + y_min > 0:
+    if not DELTA + y_min > 0:
         raise ValueError(f"log(delta + Y) needs Y > -delta, got a smallest Y of {y_min!r}")
 
 
-def log_average_luminance(y_values: np.ndarray, delta: float = DEFAULT_DELTA) -> float:
-    """exp of the mean of log(delta + Y): the geometric brightness of a region."""
-    _check_finite_positive("delta", delta)
+def log_average_luminance(y_values: np.ndarray) -> float:
+    """exp of the mean of log(DELTA + Y): the geometric brightness of a region."""
     samples = np.asarray(y_values, dtype=np.float64).reshape(-1)
     if samples.size == 0:
         raise EmptyRegion("log-average luminance of zero samples")
-    _check_logs_defined(samples, delta)
-    return float(np.exp(np.log(delta + samples).mean()))
+    _check_logs_defined(samples)
+    return float(np.exp(np.log(DELTA + samples).mean()))
 
 
 def partition_grid(width: int, height: int) -> tuple[int, int]:
@@ -132,20 +126,19 @@ def _block_log_means(logs: np.ndarray, out: np.ndarray) -> None:
     np.divide(out, BLOCK_SIZE * BLOCK_SIZE, out=out)
 
 
-def _log_stats(img: RgbImage | YcbcrImage, delta: float) -> tuple[np.ndarray, float]:
+def _log_stats(img: RgbImage | YcbcrImage) -> tuple[np.ndarray, float]:
     """The (grid_rows, grid_cols) candidate mask and the whole-image mean of
-    log(delta + Y), streamed through strips of ``STRIP_ROWS`` rows.
+    log(DELTA + Y), streamed through strips of ``STRIP_ROWS`` rows.
 
     The pairwise tree pulls the strips as its leaves need them. Each strip's
     Y and logs go into one reused buffer, after the logs that earlier leaves
     left over. No Y plane is built, and both results are bit for bit those
     of the plane's ``.mean()`` and ``.mean(axis=(1, 3))``.
     """
-    _check_finite_positive("delta", delta)
     width, height = img.width, img.height
     grid_cols, grid_rows = partition_grid(width, height)
     if isinstance(img, YcbcrImage):
-        _check_logs_defined(img.y, delta)
+        _check_logs_defined(img.y)
     block_log_means = np.empty((grid_rows, grid_cols))
     buffer = np.empty(_LEAF + STRIP_ROWS * width)
     start = filled = top = 0
@@ -164,7 +157,7 @@ def _log_stats(img: RgbImage | YcbcrImage, delta: float) -> tuple[np.ndarray, fl
                 np.matmul(img.pixels[top:bottom], RGB_TO_YCC[0], out=logs)
             else:
                 logs[...] = img.y[top:bottom]
-            np.log(np.add(logs, delta, out=logs), out=logs)
+            np.log(np.add(logs, DELTA, out=logs), out=logs)
             block_bottom = min(bottom, grid_rows * BLOCK_SIZE)
             if block_bottom > top:
                 _block_log_means(
@@ -181,14 +174,14 @@ def _log_stats(img: RgbImage | YcbcrImage, delta: float) -> tuple[np.ndarray, fl
     return block_log_means >= image_log_mean - TIE_TOLERANCE, image_log_mean
 
 
-def candidate_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> set[BlockRef]:
+def candidate_blocks(img: RgbImage | YcbcrImage) -> set[BlockRef]:
     """Blocks whose log-average luminance >= the whole image's (ties included).
 
     The whole-image value is taken over every pixel, including remainder rows
     and columns that belong to no block. The comparison happens in the log
     domain with TIE_TOLERANCE of slack.
     """
-    is_candidate, _ = _log_stats(img, delta)
+    is_candidate, _ = _log_stats(img)
     rows, cols = np.nonzero(is_candidate)
     return {BlockRef(int(c), int(r)) for r, c in zip(rows, cols)}
 
@@ -226,13 +219,13 @@ def spiral_order(grid_cols: int, grid_rows: int) -> list[BlockRef]:
     return list(_spiral(grid_cols, grid_rows))
 
 
-def select_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> SelectionPlan:
+def select_blocks(img: RgbImage | YcbcrImage) -> SelectionPlan:
     """First 16 candidate blocks in spiral order, as a reproducible plan.
 
     The spiral walk stops at the 16th candidate.
     """
     grid_cols, grid_rows = partition_grid(img.width, img.height)
-    is_candidate, image_log_mean = _log_stats(img, delta)
+    is_candidate, image_log_mean = _log_stats(img)
     count = int(is_candidate.sum())
     if count < PLAN_BLOCKS:
         raise InsufficientCandidates(f"{count} candidate blocks, need {PLAN_BLOCKS}")
@@ -242,7 +235,6 @@ def select_blocks(img: RgbImage | YcbcrImage, delta: float = DEFAULT_DELTA) -> S
         grid_cols=grid_cols,
         grid_rows=grid_rows,
         image_log_avg=float(np.exp(image_log_mean)),
-        delta=delta,
     )
 
 
@@ -252,7 +244,7 @@ def serialize_plan(plan: SelectionPlan) -> str:
         f"block_size={BLOCK_SIZE}",
         f"grid_cols={plan.grid_cols}",
         f"grid_rows={plan.grid_rows}",
-        f"delta={plan.delta!r}",
+        f"delta={DELTA!r}",
         f"image_log_avg={plan.image_log_avg!r}",
     ]
     lines.extend(f"{b.col},{b.row}" for b in plan.blocks)
@@ -277,6 +269,8 @@ def parse_plan(text: str) -> SelectionPlan:
         raise ValueError(f"bad plan header: {exc}") from exc
     if block_size != BLOCK_SIZE:
         raise ValueError(f"unsupported block size {block_size}")
+    if delta != DELTA:
+        raise ValueError(f"unsupported delta {delta!r}, plans use {DELTA!r}")
     blocks = []
     for number, ln in enumerate(lines[5:], start=1):
         col_s, _, row_s = ln.partition(",")
@@ -289,7 +283,6 @@ def parse_plan(text: str) -> SelectionPlan:
         grid_cols=grid_cols,
         grid_rows=grid_rows,
         image_log_avg=image_log_avg,
-        delta=delta,
     )
 
 

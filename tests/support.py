@@ -26,7 +26,14 @@ from lumamark.attacks import quant_steps
 from lumamark.codec import DEFAULT_ALPHA, embedded_pixel_coords
 from lumamark.colorspace import YcbcrImage, rgb_to_ycbcr, ycbcr_to_rgb
 from lumamark.pixmap import RgbImage, WatermarkBitmap
-from lumamark.selection import BLOCK_SIZE, TIE_TOLERANCE, select_blocks
+from lumamark.selection import (
+    BLOCK_SIZE,
+    DELTA,
+    TIE_TOLERANCE,
+    BlockRef,
+    SelectionPlan,
+    select_blocks,
+)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,38 +111,38 @@ def spiral_oracle(grid_cols: int, grid_rows: int) -> list[tuple[int, int]]:
     return emitted
 
 
-def log_mean_oracle(values, delta: float) -> float:
-    """Plain-math mean of log(delta + v) over a flat iterable."""
+def log_mean_oracle(values) -> float:
+    """Plain-math mean of log(DELTA + v) over a flat iterable."""
     flat = [float(v) for v in np.asarray(values).reshape(-1)]
-    return sum(math.log(delta + v) for v in flat) / len(flat)
+    return sum(math.log(DELTA + v) for v in flat) / len(flat)
 
 
-def log_avg_oracle(values, delta: float) -> float:
+def log_avg_oracle(values) -> float:
     """Plain-math log-average luminance over a flat iterable."""
-    return math.exp(log_mean_oracle(values, delta))
+    return math.exp(log_mean_oracle(values))
 
 
-def candidate_oracle(y: np.ndarray, delta: float) -> set[tuple[int, int]]:
+def candidate_oracle(y: np.ndarray) -> set[tuple[int, int]]:
     """Brute-force candidate set: per-block and whole-image log statistics
     recomputed independently (ties use the library's published tolerance);
     returns {(col, row)}."""
     height, width = y.shape
-    image_mean = log_mean_oracle(y, delta)
+    image_mean = log_mean_oracle(y)
     out = set()
     for row in range(height // 8):
         for col in range(width // 8):
             block = y[row * 8 : row * 8 + 8, col * 8 : col * 8 + 8]
-            if log_mean_oracle(block, delta) >= image_mean - TIE_TOLERANCE:
+            if log_mean_oracle(block) >= image_mean - TIE_TOLERANCE:
                 out.add((col, row))
     return out
 
 
-def dense_log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+def dense_log_stats(y: np.ndarray) -> tuple[np.ndarray, float]:
     """Dense log statistics over a whole Y plane: the block means and the
-    image mean of log(delta + Y), numpy's ``.mean(axis=(1, 3))`` and
+    image mean of log(DELTA + Y), numpy's ``.mean(axis=(1, 3))`` and
     ``.mean()``, where the library streams strips."""
     grid_rows, grid_cols = y.shape[0] // BLOCK_SIZE, y.shape[1] // BLOCK_SIZE
-    logs = np.log(delta + y)
+    logs = np.log(DELTA + y)
     image_log_mean = float(logs.mean())
     block_log_means = (
         logs[: grid_rows * BLOCK_SIZE, : grid_cols * BLOCK_SIZE]
@@ -147,9 +154,9 @@ def dense_log_stats(y: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
 
 def delta_sensitive_image() -> RgbImage:
     """128x128: gray 200 above gray 20, with a 0/255 checkerboard in block
-    (8, 8), the grid center. At the default delta the checkerboard's black
-    pixels sink its log-average and the plan starts at block (7, 7); at
-    delta 1000 the block qualifies and the plan starts at (8, 8)."""
+    (8, 8), the grid center. At DELTA the checkerboard's black pixels sink
+    its log-average and the plan starts at block (7, 7); at a delta of 1000
+    the block would qualify and lead the plan (``CHECKERBOARD_FIRST_PLAN``)."""
     pixels = np.full((128, 128, 3), 200, dtype=np.uint8)
     pixels[64:] = 20
     yy, xx = np.indices((8, 8))
@@ -157,9 +164,23 @@ def delta_sensitive_image() -> RgbImage:
     return RgbImage(pixels)
 
 
-# Plan header values no selection can produce: delta and the log-average
-# are always finite and positive.
+# The plan that a delta of 1000 selected from ``delta_sensitive_image``: the
+# checkerboard block (8, 8), then the first 15 blocks of the plan at DELTA.
+CHECKERBOARD_FIRST_PLAN = SelectionPlan(
+    blocks=tuple(BlockRef(c, r) for c, r in (
+        (8, 8), (7, 7), (8, 7), (9, 7), (10, 7), (6, 7), (6, 6), (7, 6),
+        (8, 6), (9, 6), (10, 6), (11, 6), (11, 7), (5, 7), (5, 6), (5, 5),
+    )),
+    grid_cols=16,
+    grid_rows=16,
+    image_log_avg=62.06357770003619,
+)
+
+
+# Plan header values no selection can produce: delta is always DELTA, and
+# the log-average is always finite and positive.
 IMPOSSIBLE_PLAN_VALUES = [
+    ("delta", "1000.0"),
     ("delta", "nan"),
     ("delta", "inf"),
     ("delta", "0.0"),
@@ -169,6 +190,12 @@ IMPOSSIBLE_PLAN_VALUES = [
     ("image_log_avg", "inf"),
     ("image_log_avg", "nan"),
 ]
+
+# What parse_plan says about each field of IMPOSSIBLE_PLAN_VALUES.
+PLAN_VALUE_ERRORS = {
+    "delta": "unsupported delta",
+    "image_log_avg": "image_log_avg must be finite and positive",
+}
 
 
 def edit_plan_field(text: str, field: str, value: str) -> str:

@@ -14,7 +14,7 @@ from lumamark.codec import embed, extract
 from lumamark.colorspace import rgb_to_ycbcr
 from lumamark.metrics import decide, psnr, similarity
 from lumamark.pixmap import RgbImage, WatermarkBitmap
-from lumamark.selection import DEFAULT_DELTA, TIE_TOLERANCE, select_blocks, spiral_order
+from lumamark.selection import TIE_TOLERANCE, select_blocks, spiral_order
 
 from support import (
     gray_image,
@@ -95,10 +95,10 @@ def test_criterion_6_selection_oracles(corpus):
         fixtures.append(ycc_from_y(two_tone))
         for ycc in fixtures:
             plan = select_blocks(ycc)
-            image_mean = log_mean_oracle(ycc.y, DEFAULT_DELTA)
+            image_mean = log_mean_oracle(ycc.y)
             for b in plan.blocks:
                 block = ycc.y[b.row * 8 : b.row * 8 + 8, b.col * 8 : b.col * 8 + 8]
-                assert log_mean_oracle(block, DEFAULT_DELTA) >= image_mean - TIE_TOLERANCE, b
+                assert log_mean_oracle(block) >= image_mean - TIE_TOLERANCE, b
 
 
 def test_criterion_7_null_hypothesis(corpus):

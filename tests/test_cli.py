@@ -20,7 +20,9 @@ from lumamark.selection import parse_plan, plan_summary, select_blocks, serializ
 from lumamark.testimages import CORPUS_NAMES, random_watermark
 
 from support import (
+    CHECKERBOARD_FIRST_PLAN,
     IMPOSSIBLE_PLAN_VALUES,
+    PLAN_VALUE_ERRORS,
     delta_sensitive_image,
     edit_plan_field,
     gray_image,
@@ -135,8 +137,10 @@ class TestEmbedCommand:
             main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"), "--alpha", "0"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan", "x"])
+    @pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan", "x", "0.0001"])
     def test_delta_not_finite_and_positive_is_usage_error(self, paths, tmp_path, delta):
+        # delta is a constant, not an option: every value is invalid usage,
+        # the constant's own 0.0001 included.
         runs = [
             ["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm")],
             ["extract", paths["img"], paths["img"], str(tmp_path / "w.pbm")],
@@ -312,25 +316,22 @@ class TestExtractCommand:
         assert by_pipe.read_bytes() == by_file.read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_default_delta_reaches_selection(self, logo, tmp_path, capsys):
-        # At delta 1000 the checkerboard block (8, 8) qualifies and leads the
-        # plan; at the default delta it does not.
-        img, wm = tmp_path / "img.ppm", tmp_path / "wm.pbm"
-        img.write_bytes(write_rgb_image(delta_sensitive_image()))
-        wm.write_bytes(write_watermark(logo))
-        marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
-        assert main(["embed", str(img), str(wm), str(marked), "--delta", "1000",
-                     "--dump-plan", str(plan_path)]) == 0
-        lines = plan_path.read_text().splitlines()
-        assert "delta=1000.0" in lines
-        assert lines[5] == "8,8"
-        by_delta, by_plan, by_default = (tmp_path / f"{n}.pbm" for n in ("d", "p", "x"))
-        assert main(["extract", str(img), str(marked), str(by_delta), "--delta", "1000"]) == 0
-        assert main(["extract", str(img), str(marked), str(by_plan),
+    def test_use_plan_reads_the_carriers_it_names(self, logo, tmp_path):
+        # The checkerboard block (8, 8) leads this plan, where selection
+        # skips it: extract --use-plan decodes the plan's carriers.
+        original = delta_sensitive_image()
+        marked = codec.embed(original, logo, plan=CHECKERBOARD_FIRST_PLAN)
+        img, marked_path, plan_path = tmp_path / "img.ppm", tmp_path / "m.ppm", tmp_path / "p.txt"
+        img.write_bytes(write_rgb_image(original))
+        marked_path.write_bytes(write_rgb_image(marked))
+        plan_path.write_text(serialize_plan(CHECKERBOARD_FIRST_PLAN))
+        by_plan, by_default = tmp_path / "p.pbm", tmp_path / "x.pbm"
+        assert main(["extract", str(img), str(marked_path), str(by_plan),
                      "--use-plan", str(plan_path)]) == 0
-        assert main(["extract", str(img), str(marked), str(by_default)]) == 0
-        assert by_delta.read_bytes() == by_plan.read_bytes()
-        assert by_delta.read_bytes() != by_default.read_bytes()
+        assert main(["extract", str(img), str(marked_path), str(by_default)]) == 0
+        expected = codec.extract(original, marked, plan=CHECKERBOARD_FIRST_PLAN)
+        assert read_watermark(by_plan.read_bytes()) == expected
+        assert by_plan.read_bytes() != by_default.read_bytes()
 
     def test_delta_and_use_plan_together_is_usage_error(self, paths, tmp_path):
         plan_path = tmp_path / "plan.txt"
@@ -352,7 +353,7 @@ class TestExtractCommand:
         out = tmp_path / "w.pbm"
         assert main(["extract", paths["img"], str(marked), str(out),
                      "--use-plan", str(plan_path)]) == 1
-        assert f"ValueError: {field} must be finite and positive" in capsys.readouterr().err
+        assert f"ValueError: {PLAN_VALUE_ERRORS[field]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_plan_block_line_exits_1(self, paths, tmp_path, capsys):

@@ -18,6 +18,7 @@ from lumamark.selection import select_blocks
 from lumamark.testimages import CORPUS_NAMES
 
 from support import (
+    CHECKERBOARD_FIRST_PLAN,
     checkerboard_bitmap,
     delta_sensitive_image,
     dense_embed,
@@ -46,10 +47,9 @@ SAME_Y_STEPS = np.array([
 
 class TestEmbedParams:
     def test_defaults(self, logo):
-        # alpha 3, and without a plan both directions select at delta 0.0001
+        # alpha 3, and without a plan both directions select the plan
         img = delta_sensitive_image()
-        default_plan = select_blocks(img, 0.0001)
-        other_plan = select_blocks(img, 1000.0)
+        default_plan, other_plan = select_blocks(img), CHECKERBOARD_FIRST_PLAN
         assert default_plan.blocks != other_plan.blocks
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -305,6 +305,15 @@ class TestRgbFileSources:
             )
         return str(in_memory.value), str(from_files.value)
 
+    def test_rgb_file_original_needs_a_plan(self, corpus, tmp_path):
+        img = corpus["smooth_blobs"]
+        with contextlib.ExitStack() as files:
+            original = self._open(files, tmp_path / "original.ppm", img)
+            with pytest.raises(ValueError, match="an RgbFile original needs a plan"):
+                extract(original, original)
+            with pytest.raises(ValueError, match="an RgbFile original needs a plan"):
+                extract(original, img)
+
     def test_size_mismatch(self, tmp_path):
         img = gray_image(128, 64, 64)
         messages = self._messages(tmp_path, img, gray_image(128, 56, 64), select_blocks(img))
@@ -345,9 +354,7 @@ class TestDenseOracle:
             assert extract(img, test, plan=plan) == dense_extract(img, test, plan)
 
     def test_non_default_delta_plan_same_bytes_as_dense(self, logo):
-        img = delta_sensitive_image()
-        plan = select_blocks(img, 1000.0)
-        assert plan.blocks[0] == (8, 8)
+        img, plan = delta_sensitive_image(), CHECKERBOARD_FIRST_PLAN
         with warnings.catch_warnings():
             # black bits on the checkerboard's black pixels clamp
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -12,7 +12,7 @@ from lumamark.colorspace import luminance, rgb_to_ycbcr
 from lumamark.errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
 from lumamark.pixmap import RgbImage
 from lumamark.selection import (
-    DEFAULT_DELTA,
+    DELTA,
     TIE_TOLERANCE,
     BlockRef,
     SelectionPlan,
@@ -30,6 +30,7 @@ from lumamark.testimages import corpus_image
 
 from support import (
     IMPOSSIBLE_PLAN_VALUES,
+    PLAN_VALUE_ERRORS,
     candidate_oracle,
     dense_log_stats,
     edit_plan_field,
@@ -61,15 +62,15 @@ def _test_pixels(kind: str, seed: int, width: int, height: int) -> np.ndarray:
 class TestLogAverageLuminance:
     def test_constant_input_gives_delta_plus_c(self):
         for c in (0.0, 1.0, 128.0, 255.0):
-            got = log_average_luminance(np.full(50, c), DEFAULT_DELTA)
-            assert got == pytest.approx(DEFAULT_DELTA + c, rel=1e-12)
+            got = log_average_luminance(np.full(50, c))
+            assert got == pytest.approx(DELTA + c, rel=1e-12)
 
     def test_all_black_gives_delta(self):
-        assert log_average_luminance(np.zeros(64), 0.0001) == pytest.approx(0.0001, rel=1e-12)
+        assert log_average_luminance(np.zeros(64)) == pytest.approx(0.0001, rel=1e-12)
 
     def test_two_point_sample_against_direct_arithmetic(self):
         expected = math.exp((math.log(0.0001) + math.log(255.0001)) / 2)
-        got = log_average_luminance(np.array([0.0, 255.0]), 0.0001)
+        got = log_average_luminance(np.array([0.0, 255.0]))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.1597, abs=2e-4)
 
@@ -90,9 +91,7 @@ class TestLogAverageLuminance:
     def test_matches_plain_math_oracle(self):
         rng = np.random.default_rng(7)
         samples = rng.uniform(0, 255, size=200)
-        assert log_average_luminance(samples, 0.0001) == pytest.approx(
-            log_avg_oracle(samples, 0.0001), rel=1e-12
-        )
+        assert log_average_luminance(samples) == pytest.approx(log_avg_oracle(samples), rel=1e-12)
 
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
@@ -100,7 +99,7 @@ class TestLogAverageLuminance:
 
     @pytest.mark.parametrize("bad_y", [-5.0, math.nan])
     def test_y_without_a_log_is_named(self, bad_y):
-        # A Y of -delta or less, or NaN, has no log(delta + Y): every entry
+        # A Y of -DELTA or less, or NaN, has no log(DELTA + Y): every entry
         # point names it, where it gave nan or an empty candidate set.
         y = np.full((64, 64), 90.0)
         y[10, 20] = bad_y
@@ -111,19 +110,6 @@ class TestLogAverageLuminance:
             candidate_blocks(ycc_from_y(y))
         with pytest.raises(ValueError, match=message):
             select_blocks(ycc_from_y(y))
-
-    def test_nonpositive_delta(self):
-        # Every entry point rejects a delta that is not finite and positive:
-        # inf would make every block a candidate, nan none.
-        images = (RgbImage(np.full((64, 64, 3), 90, np.uint8)), ycc_from_y(np.full((64, 64), 90.0)))
-        for delta in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite and positive"):
-                log_average_luminance(np.ones(4), delta)
-            for img in images:
-                with pytest.raises(ValueError, match="finite and positive"):
-                    candidate_blocks(img, delta)
-                with pytest.raises(ValueError, match="finite and positive"):
-                    select_blocks(img, delta)
 
 
 class TestPartitionGrid:
@@ -151,7 +137,7 @@ class TestCandidateBlocks:
         got = candidate_blocks(ycc_from_y(y))
         expected = {BlockRef(c, r) for c in range(4) for r in range(8)}
         assert got == expected
-        assert got == {BlockRef(c, r) for (c, r) in candidate_oracle(y, DEFAULT_DELTA)}
+        assert got == {BlockRef(c, r) for (c, r) in candidate_oracle(y)}
 
     def test_single_block_image(self):
         img = ycc_from_y(np.full((8, 8), 10.0))
@@ -170,7 +156,7 @@ class TestCandidateBlocks:
         for _ in range(5):
             y = rng.uniform(0, 255, size=(rng.integers(8, 40), rng.integers(8, 40)))
             got = {(b.col, b.row) for b in candidate_blocks(ycc_from_y(y))}
-            assert got == candidate_oracle(y, DEFAULT_DELTA)
+            assert got == candidate_oracle(y)
 
 
 class TestStreamedLogStats:
@@ -197,14 +183,14 @@ class TestStreamedLogStats:
         pixels = _test_pixels(kind, seed, width, height)
         y = luminance(pixels)
         img = RgbImage(pixels) if source == "rgb" else ycc_from_y(y)
-        mask, image_log_mean = _log_stats(img, DEFAULT_DELTA)
-        dense_block_means, dense_mean = dense_log_stats(y, DEFAULT_DELTA)
+        mask, image_log_mean = _log_stats(img)
+        dense_block_means, dense_mean = dense_log_stats(y)
         assert image_log_mean == dense_mean
         assert np.array_equal(mask, dense_block_means >= dense_mean - TIE_TOLERANCE)
         # The mask's slack hides last-bit noise, so check the block means too.
         grid_rows, grid_cols = dense_block_means.shape
         block_means = np.empty((grid_rows, grid_cols))
-        _block_log_means(np.log(DEFAULT_DELTA + y[: grid_rows * 8]), block_means)
+        _block_log_means(np.log(DELTA + y[: grid_rows * 8]), block_means)
         assert np.array_equal(block_means, dense_block_means)
 
 
@@ -284,7 +270,7 @@ class TestSelectBlocks:
                 if bright < 15:
                     y[row * 8 : row * 8 + 8, col * 8 : col * 8 + 8] = 200.0
                     bright += 1
-        assert len(candidate_oracle(y, DEFAULT_DELTA)) == 15
+        assert len(candidate_oracle(y)) == 15
         with pytest.raises(InsufficientCandidates):
             select_blocks(ycc_from_y(y))
 
@@ -292,7 +278,7 @@ class TestSelectBlocks:
         for img in corpus.values():
             ycc = rgb_to_ycbcr(img)
             plan = select_blocks(ycc)
-            cands = candidate_oracle(ycc.y, DEFAULT_DELTA)
+            cands = candidate_oracle(ycc.y)
             assert all((b.col, b.row) in cands for b in plan.blocks)
 
     def test_chosen_blocks_appear_in_spiral_order(self, corpus):
@@ -350,6 +336,18 @@ class TestPlanSerialization:
         assert len(lines) == 5 + 16
         assert lines[5] == "8,8"
 
+    def test_corpus_plan_file_is_pinned(self, corpus):
+        # The bytes that plan files have always had: a dump made before delta
+        # became a constant loads, and a new dump matches it.
+        pinned = (
+            "block_size=8\ngrid_cols=64\ngrid_rows=64\ndelta=0.0001\n"
+            "image_log_avg=120.1363454441186\n32,32\n33,32\n33,33\n32,33\n31,33\n"
+            "31,32\n31,31\n32,31\n33,31\n34,31\n34,32\n34,33\n34,34\n33,34\n32,34\n31,34\n"
+        )
+        plan = select_blocks(corpus["smooth_blobs"])
+        assert serialize_plan(plan) == pinned
+        assert parse_plan(pinned) == plan
+
     def test_parse_rejects_wrong_block_count(self):
         plan = select_blocks(ycc_from_y(np.full((128, 128), 50.0)))
         text = "\n".join(serialize_plan(plan).splitlines()[:-1]) + "\n"
@@ -369,19 +367,20 @@ class TestPlanSerialization:
         plan = select_blocks(corpus["smooth_blobs"])
         text = edit_plan_field(serialize_plan(plan), field, value)
         assert text != serialize_plan(plan)
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        with pytest.raises(ValueError, match=PLAN_VALUE_ERRORS[field]):
             parse_plan(text)
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-            dataclasses.replace(plan, **{field: float(value)})
+        if hasattr(plan, field):  # delta is a constant, not a field of the plan
+            with pytest.raises(ValueError, match=PLAN_VALUE_ERRORS[field]):
+                dataclasses.replace(plan, **{field: float(value)})
 
     def test_plan_invariants(self):
         blocks = tuple(BlockRef(c, 0) for c in range(16))
         with pytest.raises(ValueError):
             SelectionPlan(blocks=blocks[:15], grid_cols=16, grid_rows=1,
-                          image_log_avg=1.0, delta=0.0001)
+                          image_log_avg=1.0)
         with pytest.raises(ValueError):
             SelectionPlan(blocks=blocks[:15] + (blocks[0],), grid_cols=16, grid_rows=1,
-                          image_log_avg=1.0, delta=0.0001)
+                          image_log_avg=1.0)
         with pytest.raises(ValueError):
             SelectionPlan(blocks=blocks[:15] + (BlockRef(99, 0),), grid_cols=16, grid_rows=1,
-                          image_log_avg=1.0, delta=0.0001)
+                          image_log_avg=1.0)
