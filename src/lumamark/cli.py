@@ -11,8 +11,8 @@ into place, so a failing run leaves no output file behind.
 hold the 1024 carriers taken from a patched copy; its PSNR comes from the
 carriers alone. ``extract`` opens both P6 files as ``RgbFile``s, which check
 the headers and lengths, and ``codec.extract`` reads only the rows that
-hold the carriers. Without ``--use-plan`` the original is read in full, as
-selection needs it; so is a pipe, which has no offsets to read at.
+hold the carriers. Without ``--use-plan``, selection first reads the original
+a strip at a time; a pipe, which has no offsets to read at, is read in full.
 """
 
 import argparse
@@ -129,8 +129,7 @@ def cmd_extract(args) -> int:
                 return pixmap.RgbFile(fh)
             return pixmap.read_rgb_image(fh.read())  # a pipe has no offsets to read at
 
-        # With a plan, only the carriers' rows of each image are read.
-        original = rgb_file(args.original) if args.use_plan else _read_image(args.original)
+        original = rgb_file(args.original)
         watermarked = rgb_file(args.watermarked)
         reference = _read_watermark(args.reference) if args.reference else None
         plan = (selection.parse_plan(Path(args.use_plan).read_text("ascii"))

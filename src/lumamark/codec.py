@@ -3,10 +3,10 @@
 Bit-to-pixel mapping, shared by both directions: watermark bit i (row-major
 over the 32x32 bitmap) lands in block plan.blocks[i // 64], at row-major
 position i % 64 inside that 8x8 block. White bits add alpha to the pixel's
-Y value, black bits subtract it. Extraction is non-blind: it recomputes the
-plan from the original image's Y plane and reads the sign of Y_w - Y in exact
-integer arithmetic (1000 * Y = 299R + 587G + 114B), where a difference of
-exactly zero decodes as white.
+Y value, black bits subtract it. Extraction is non-blind: it reselects the
+plan from the original's log-average luminance and reads the sign of Y_w - Y
+in exact integer arithmetic (1000 * Y = 299R + 587G + 114B), where a
+difference of exactly zero decodes as white.
 """
 
 import warnings
@@ -36,10 +36,8 @@ def embedded_pixel_coords(plan: SelectionPlan) -> tuple[np.ndarray, np.ndarray]:
 
 def _plan_for(original: RgbImage | RgbFile, plan: SelectionPlan | None) -> SelectionPlan:
     """The given plan, checked against the image's grid, or the plan selected
-    from the original when none is given."""
+    from the original's rows when none is given."""
     if plan is None:
-        if isinstance(original, RgbFile):
-            raise ValueError("an RgbFile original needs a plan: selection reads every pixel")
         return select_blocks(original)
     if (plan.grid_cols, plan.grid_rows) != partition_grid(original.width, original.height):
         raise DimensionMismatch(
@@ -50,10 +48,8 @@ def _plan_for(original: RgbImage | RgbFile, plan: SelectionPlan | None) -> Selec
 
 
 def _carriers(image: RgbImage | RgbFile, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The pixels at (ys, xs) of an RgbImage, or of an RgbFile, from which
-    only the span of rows that holds them is read."""
-    if isinstance(image, RgbImage):
-        return image.pixels[ys, xs]
+    """The pixels at (ys, xs), taken from the span of rows that holds them:
+    of an RgbFile, only that span is read."""
     top = int(ys.min())
     return image.rows(top, int(ys.max()) + 1)[ys - top, xs]
 
@@ -128,10 +124,9 @@ def extract(
 ) -> WatermarkBitmap:
     """Recover the watermark by comparing carrier-pixel luminance signs.
 
-    Both images are read at the carriers only; the original's whole
-    luminance is read just when the plan has to be recomputed. Of an
-    ``RgbFile`` only the rows that hold the carriers are read, after the
-    size and grid checks; an ``RgbFile`` original must come with a plan.
+    Both images are read at the carriers' rows only, after the size and grid
+    checks. Without a plan, selection first reads the original a strip of
+    rows at a time, so no ``RgbFile`` is ever held in full.
     """
     if (original.width, original.height) != (watermarked.width, watermarked.height):
         raise DimensionMismatch(

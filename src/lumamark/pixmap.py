@@ -71,6 +71,10 @@ class RgbImage:
     def height(self) -> int:
         return self._pixels.shape[0]
 
+    def rows(self, top: int, stop: int) -> np.ndarray:
+        """Rows top to stop - 1, as a read-only (stop - top, width, 3) view."""
+        return self._pixels[top:stop]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RgbImage):
             return NotImplemented

@@ -4,9 +4,10 @@ The 16 blocks that carry the watermark are the first 16 blocks, walking a
 square spiral outward from the grid center, whose log-average luminance is
 at least the log-average luminance of the entire image.
 
-The statistics stream through strips of ``STRIP_ROWS`` rows, so no Y plane
-is built, and they equal the dense plane's ``log(DELTA + Y).mean()`` and
-block ``.mean(axis=(1, 3))`` bit for bit:
+The statistics stream through the image's ``rows``, ``STRIP_ROWS`` at a time
+(an ``RgbFile`` is read strip by strip), so no Y plane is built. They equal
+the dense plane's ``log(DELTA + Y).mean()`` and block ``.mean(axis=(1, 3))``
+bit for bit:
 
 - A strip's Y is the same matrix-vector product per row as ``luminance``,
   and ``log`` works element by element.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .colorspace import RGB_TO_YCC, STRIP_ROWS, YcbcrImage
 from .errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
-from .pixmap import RgbImage
+from .pixmap import RgbFile, RgbImage
 
 BLOCK_SIZE = 8
 PLAN_BLOCKS = 16
@@ -126,7 +127,7 @@ def _block_log_means(logs: np.ndarray, out: np.ndarray) -> None:
     np.divide(out, BLOCK_SIZE * BLOCK_SIZE, out=out)
 
 
-def _log_stats(img: RgbImage | YcbcrImage) -> tuple[np.ndarray, float]:
+def _log_stats(img: RgbImage | RgbFile | YcbcrImage) -> tuple[np.ndarray, float]:
     """The (grid_rows, grid_cols) candidate mask and the whole-image mean of
     log(DELTA + Y), streamed through strips of ``STRIP_ROWS`` rows.
 
@@ -153,10 +154,10 @@ def _log_stats(img: RgbImage | YcbcrImage) -> tuple[np.ndarray, float]:
             start = 0
             bottom = min(top + STRIP_ROWS, height)
             logs = buffer[filled : filled + (bottom - top) * width].reshape(bottom - top, width)
-            if isinstance(img, RgbImage):
-                np.matmul(img.pixels[top:bottom], RGB_TO_YCC[0], out=logs)
-            else:
+            if isinstance(img, YcbcrImage):
                 logs[...] = img.y[top:bottom]
+            else:
+                np.matmul(img.rows(top, bottom), RGB_TO_YCC[0], out=logs)
             np.log(np.add(logs, DELTA, out=logs), out=logs)
             block_bottom = min(bottom, grid_rows * BLOCK_SIZE)
             if block_bottom > top:
@@ -174,7 +175,7 @@ def _log_stats(img: RgbImage | YcbcrImage) -> tuple[np.ndarray, float]:
     return block_log_means >= image_log_mean - TIE_TOLERANCE, image_log_mean
 
 
-def candidate_blocks(img: RgbImage | YcbcrImage) -> set[BlockRef]:
+def candidate_blocks(img: RgbImage | RgbFile | YcbcrImage) -> set[BlockRef]:
     """Blocks whose log-average luminance >= the whole image's (ties included).
 
     The whole-image value is taken over every pixel, including remainder rows
@@ -219,7 +220,7 @@ def spiral_order(grid_cols: int, grid_rows: int) -> list[BlockRef]:
     return list(_spiral(grid_cols, grid_rows))
 
 
-def select_blocks(img: RgbImage | YcbcrImage) -> SelectionPlan:
+def select_blocks(img: RgbImage | RgbFile | YcbcrImage) -> SelectionPlan:
     """First 16 candidate blocks in spiral order, as a reproducible plan.
 
     The spiral walk stops at the 16th candidate.

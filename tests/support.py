@@ -164,8 +164,8 @@ def delta_sensitive_image() -> RgbImage:
     return RgbImage(pixels)
 
 
-# The plan that a delta of 1000 selected from ``delta_sensitive_image``: the
-# checkerboard block (8, 8), then the first 15 blocks of the plan at DELTA.
+# A plan for ``delta_sensitive_image`` that selection does not produce: the
+# checkerboard block (8, 8), then the first 15 blocks of the selected plan.
 CHECKERBOARD_FIRST_PLAN = SelectionPlan(
     blocks=tuple(BlockRef(c, r) for c, r in (
         (8, 8), (7, 7), (8, 7), (9, 7), (10, 7), (6, 7), (6, 6), (7, 6),

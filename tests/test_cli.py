@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,10 +141,12 @@ class TestEmbedCommand:
     @pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan", "x", "0.0001"])
     def test_delta_not_finite_and_positive_is_usage_error(self, paths, tmp_path, delta):
         # delta is a constant, not an option: every value is invalid usage,
-        # the constant's own 0.0001 included.
+        # the constant's own 0.0001 included, with or without a plan.
         runs = [
             ["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm")],
             ["extract", paths["img"], paths["img"], str(tmp_path / "w.pbm")],
+            ["extract", paths["img"], paths["img"], str(tmp_path / "w.pbm"),
+             "--use-plan", str(tmp_path / "plan.txt")],
             ["report", paths["img"], paths["logo"]],
         ]
         for argv in runs:
@@ -254,27 +257,25 @@ class TestExtractCommand:
         assert sorted(requested) == sorted(2 * [pixmap.RgbFile._PREFIX, span_bytes])
         assert span_bytes <= 512 * 512 * 3 // 8
 
-    def test_without_a_plan_reads_the_watermarked_rows_only(self, paths, tmp_path, monkeypatch):
+    def test_without_a_plan_reads_the_original_by_strips(self, paths, tmp_path, monkeypatch):
+        # Selection reads the original 32 rows at a time; then the carrier
+        # rows of each file are read. Neither file is read whole.
         marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
         assert main(["embed", paths["img"], paths["logo"], str(marked),
                      "--dump-plan", str(plan_path)]) == 0
         block_rows = [b.row for b in parse_plan(plan_path.read_text()).blocks]
         span_bytes = (max(block_rows) - min(block_rows) + 1) * 8 * 512 * 3
-        requested, whole_reads = [], []
+        requested = []
 
         def pread(fd, n, offset, real_pread=os.pread):
             requested.append(n)
             return real_pread(fd, n, offset)
 
-        def read_rgb_image(data, real_read=pixmap.read_rgb_image):
-            whole_reads.append(len(data))
-            return real_read(data)
-
         monkeypatch.setattr(pixmap.os, "pread", pread)
-        monkeypatch.setattr(pixmap, "read_rgb_image", read_rgb_image)
+        monkeypatch.setattr(pixmap, "read_rgb_image", None)  # a whole read would fail
         assert main(["extract", paths["img"], str(marked), str(tmp_path / "w.pbm")]) == 0
-        assert sorted(requested) == sorted([pixmap.RgbFile._PREFIX, span_bytes])
-        assert whole_reads == [os.path.getsize(paths["img"])]
+        expected = [*2 * [pixmap.RgbFile._PREFIX, span_bytes], *16 * [32 * 512 * 3]]
+        assert sorted(requested) == sorted(expected)
 
     @pytest.mark.parametrize("fault", ["sizes", "sizes-use-plan", "grid", "sizes-and-grid"])
     def test_error_is_the_librarys(self, corpus, paths, tmp_path, capsys, fault):
@@ -298,22 +299,38 @@ class TestExtractCommand:
         assert capsys.readouterr().err == f"error: {type(exc.value).__name__}: {exc.value}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("use_plan", [False, True], ids=["select", "use-plan"])
-    def test_reads_a_watermarked_image_from_a_pipe(self, paths, tmp_path, use_plan):
+    @staticmethod
+    def _extract_with_a_pipe(paths, tmp_path, piped, use_plan):
+        """extract with input ``piped`` (0 the original, 1 the watermarked
+        image) fed through a FIFO gives the bitmap it gives from files."""
         marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
         assert main(["embed", paths["img"], paths["logo"], str(marked),
                      "--dump-plan", str(plan_path)]) == 0
-        fifo = tmp_path / "marked.fifo"
+        inputs = [Path(paths["img"]), marked]
+        fifo = tmp_path / "input.fifo"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(marked.read_bytes(),), daemon=True)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(inputs[piped].read_bytes(),), daemon=True
+        )
         writer.start()
         by_pipe, by_file = tmp_path / "pipe.pbm", tmp_path / "file.pbm"
         extra = ["--use-plan", str(plan_path)] if use_plan else []
-        assert main(["extract", paths["img"], str(fifo), str(by_pipe), *extra]) == 0
+        piped_inputs = [str(fifo) if i == piped else str(p) for i, p in enumerate(inputs)]
+        assert main(["extract", *piped_inputs, str(by_pipe), *extra]) == 0
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert main(["extract", paths["img"], str(marked), str(by_file), *extra]) == 0
+        assert main(["extract", *map(str, inputs), str(by_file), *extra]) == 0
         assert by_pipe.read_bytes() == by_file.read_bytes()
+
+    @pytest.mark.parametrize("use_plan", [False, True], ids=["select", "use-plan"])
+    def test_reads_a_watermarked_image_from_a_pipe(self, paths, tmp_path, use_plan):
+        self._extract_with_a_pipe(paths, tmp_path, 1, use_plan)
+
+    @pytest.mark.parametrize("use_plan", [False, True], ids=["select", "use-plan"])
+    def test_reads_an_original_from_a_pipe(self, paths, tmp_path, use_plan):
+        # A pipe is read in full, so a piped original without a plan is
+        # selected from in memory.
+        self._extract_with_a_pipe(paths, tmp_path, 0, use_plan)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_use_plan_reads_the_carriers_it_names(self, logo, tmp_path):
@@ -332,17 +349,6 @@ class TestExtractCommand:
         expected = codec.extract(original, marked, plan=CHECKERBOARD_FIRST_PLAN)
         assert read_watermark(by_plan.read_bytes()) == expected
         assert by_plan.read_bytes() != by_default.read_bytes()
-
-    def test_delta_and_use_plan_together_is_usage_error(self, paths, tmp_path):
-        plan_path = tmp_path / "plan.txt"
-        assert main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"),
-                     "--dump-plan", str(plan_path)]) == 0
-        out = tmp_path / "w.pbm"
-        with pytest.raises(SystemExit) as exc:
-            main(["extract", paths["img"], str(tmp_path / "m.ppm"), str(out),
-                  "--use-plan", str(plan_path), "--delta", "1000"])
-        assert exc.value.code == 2
-        assert not out.exists()
 
     @pytest.mark.parametrize("field,value", IMPOSSIBLE_PLAN_VALUES)
     def test_impossible_plan_exits_1(self, paths, tmp_path, capsys, field, value):
@@ -381,12 +387,12 @@ class TestAttackCommand:
     def test_full_frame_crop_identity(self, paths, tmp_path):
         out = tmp_path / "out.ppm"
         assert main(["attack", paths["img"], str(out), "--crop", "0,0,512,512"]) == 0
-        assert out.read_bytes() == open(paths["img"], "rb").read()
+        assert out.read_bytes() == Path(paths["img"]).read_bytes()
 
     def test_compress_changes_but_psnr_finite(self, paths, tmp_path, capsys):
         out = tmp_path / "out.ppm"
         assert main(["attack", paths["img"], str(out), "--compress-quality", "0.75"]) == 0
-        assert out.read_bytes() != open(paths["img"], "rb").read()
+        assert out.read_bytes() != Path(paths["img"]).read_bytes()
         assert main(["metrics", paths["img"], str(out)]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("psnr_db=") and line != "psnr_db=inf"

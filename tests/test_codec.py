@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from lumamark import codec
 from lumamark.attacks import compress_attack
 from lumamark.codec import DEFAULT_ALPHA, embed, embedded_pixel_coords, extract
-from lumamark.colorspace import RGB_TO_YCC, rgb_to_ycbcr
+from lumamark.colorspace import RGB_TO_YCC
 from lumamark.errors import DimensionMismatch, InsufficientCandidates
 from lumamark.metrics import similarity
 from lumamark.pixmap import RgbFile, RgbImage, WatermarkBitmap, write_rgb_image
 from lumamark.selection import select_blocks
-from lumamark.testimages import CORPUS_NAMES
+from lumamark.testimages import CORPUS_NAMES, corpus_image
 
 from support import (
     CHECKERBOARD_FIRST_PLAN,
@@ -80,7 +80,7 @@ class TestEmbedParams:
 
 class TestBitPixelMapping:
     def test_coords_follow_plan_then_block_row_major(self):
-        plan = select_blocks(rgb_to_ycbcr(gray_image(128)))
+        plan = select_blocks(gray_image(128))
         ys, xs = embedded_pixel_coords(plan)
         assert len(ys) == len(xs) == 1024
         # bit 0 -> first plan block, top-left pixel
@@ -99,7 +99,7 @@ class TestBitPixelMapping:
         # a block row; under the row-major mapping, horizontally adjacent
         # carrier pixels therefore differ by exactly 2*alpha.
         img = gray_image(128)
-        plan = select_blocks(rgb_to_ycbcr(img))
+        plan = select_blocks(img)
         marked = embed(img, checkerboard_bitmap(), plan=plan).pixels.astype(np.int16)
         for b in plan.blocks[:4]:
             block = marked[b.row * 8 : b.row * 8 + 8, b.col * 8 : b.col * 8 + 8]
@@ -115,7 +115,7 @@ class TestBitPixelMapping:
 class TestEmbed:
     def test_all_white_on_uniform_gray(self):
         img = gray_image(128)
-        plan = select_blocks(rgb_to_ycbcr(img))
+        plan = select_blocks(img)
         ys, xs = embedded_pixel_coords(plan)
         marked = embed(img, all_white())
         # untouched pixels are byte-identical after the round trip
@@ -127,7 +127,7 @@ class TestEmbed:
 
     def test_locality_at_most_1024_pixels_inside_plan_blocks(self, corpus, logo):
         for img in corpus.values():
-            plan = select_blocks(rgb_to_ycbcr(img))
+            plan = select_blocks(img)
             marked = embed(img, logo)
             changed = np.nonzero(np.any(marked.pixels != img.pixels, axis=2))
             assert len(changed[0]) <= 1024
@@ -182,7 +182,7 @@ class TestExtract:
 
     def test_roundtrip_random_watermarks(self, corpus):
         img = corpus["fine_texture"]
-        plan = select_blocks(rgb_to_ycbcr(img))
+        plan = select_blocks(img)
         for seed in range(5):
             wm = random_bitmap(np.random.default_rng(seed))
             assert extract(img, embed(img, wm, plan=plan), plan=plan) == wm
@@ -216,12 +216,12 @@ class TestExtract:
 
     def test_explicit_plan_matches_recomputed(self, corpus, logo):
         img = corpus["fine_texture"]
-        plan = select_blocks(rgb_to_ycbcr(img))
+        plan = select_blocks(img)
         marked = embed(img, logo)
         assert extract(img, marked, plan=plan) == extract(img, marked)
 
     def test_plan_from_other_geometry_rejected(self, corpus, logo):
-        plan = select_blocks(rgb_to_ycbcr(gray_image(128, 256, 256)))
+        plan = select_blocks(gray_image(128, 256, 256))
         img = corpus["fine_texture"]
         with pytest.raises(DimensionMismatch):
             embed(img, logo, plan=plan)
@@ -292,6 +292,21 @@ class TestRgbFileSources:
                 test_file = self._open(files, tmp_path / f"test{i}.ppm", test)
                 assert extract(original, test_file, plan=plan) == expected
                 assert extract(img, test_file, plan=plan) == expected
+                # Without a plan, selection reads the original file's strips.
+                assert extract(original, test_file) == extract(img, test) == expected
+                assert extract(original, test) == expected
+
+    def test_without_a_plan_holds_neither_file(self, logo, tmp_path):
+        # Selection reads the original a strip at a time, and the carriers
+        # are read from their rows: far less than one payload is allocated.
+        img = corpus_image("smooth_blobs", 1024)
+        marked = embed(img, logo)
+        with contextlib.ExitStack() as files:
+            original = self._open(files, tmp_path / "original.ppm", img)
+            marked_file = self._open(files, tmp_path / "marked.ppm", marked)
+            extracted, peak = traced_peak(extract, original, marked_file)
+        assert extracted == logo
+        assert peak < 0.5 * img.pixels.nbytes
 
     def _messages(self, tmp_path, original, watermarked, plan):
         """extract's DimensionMismatch message on the images and on their files."""
@@ -304,15 +319,6 @@ class TestRgbFileSources:
                 plan=plan,
             )
         return str(in_memory.value), str(from_files.value)
-
-    def test_rgb_file_original_needs_a_plan(self, corpus, tmp_path):
-        img = corpus["smooth_blobs"]
-        with contextlib.ExitStack() as files:
-            original = self._open(files, tmp_path / "original.ppm", img)
-            with pytest.raises(ValueError, match="an RgbFile original needs a plan"):
-                extract(original, original)
-            with pytest.raises(ValueError, match="an RgbFile original needs a plan"):
-                extract(original, img)
 
     def test_size_mismatch(self, tmp_path):
         img = gray_image(128, 64, 64)
@@ -344,7 +350,7 @@ class TestDenseOracle:
         rng = np.random.default_rng(seed)
         img = random_image(rng, width, height)
         wm = random_bitmap(rng)
-        plan = select_blocks(rgb_to_ycbcr(img))
+        plan = select_blocks(img)
         marked = embed(img, wm, alpha)
         assert marked == dense_embed(img, wm, alpha)
         assert embed(img, wm, alpha, plan=plan) == marked
@@ -353,7 +359,7 @@ class TestDenseOracle:
             assert extract(img, test) == expected
             assert extract(img, test, plan=plan) == dense_extract(img, test, plan)
 
-    def test_non_default_delta_plan_same_bytes_as_dense(self, logo):
+    def test_unselected_plan_same_bytes_as_dense(self, logo):
         img, plan = delta_sensitive_image(), CHECKERBOARD_FIRST_PLAN
         with warnings.catch_warnings():
             # black bits on the checkerboard's black pixels clamp

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from lumamark.colorspace import luminance, rgb_to_ycbcr
 from lumamark.errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
-from lumamark.pixmap import RgbImage
+from lumamark.pixmap import RgbFile, RgbImage, write_rgb_image
 from lumamark.selection import (
     DELTA,
     TIE_TOLERANCE,
@@ -159,12 +160,25 @@ class TestCandidateBlocks:
             assert got == candidate_oracle(y)
 
 
+def _log_stats_of(source: str, pixels: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_log_stats`` of the pixels as an RgbImage, as a P6 file read through
+    RgbFile, or of their Y plane as a YcbcrImage."""
+    if source == "rgb":
+        return _log_stats(RgbImage(pixels))
+    if source == "ycc":
+        return _log_stats(ycc_from_y(y))
+    with tempfile.TemporaryFile() as fh:
+        fh.write(write_rgb_image(RgbImage(pixels)))
+        fh.flush()
+        return _log_stats(RgbFile(fh))
+
+
 class TestStreamedLogStats:
     """The streamed mask, block means and image mean against the dense plane."""
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.sampled_from(["rgb", "ycc"]),
+        st.sampled_from(["rgb", "ycc", "file"]),
         st.sampled_from(["random", "gray", "levels", "periodic"]),
         st.integers(0, 2**31 - 1),
         st.integers(8, 1100),
@@ -179,11 +193,12 @@ class TestStreamedLogStats:
     @example("rgb", "random", 6, 128, 64)  # n is exactly one leaf
     @example("rgb", "levels", 7, 8, 1100)  # a leaf spans many strips
     @example("rgb", "random", 8, 300, 36)  # the last strip is shorter than a block row
+    @example("file", "random", 9, 300, 36)
+    @example("file", "levels", 10, 1100, 1100)
     def test_mask_and_mean_equal_the_dense_plane_bit_for_bit(self, source, kind, seed, width, height):
         pixels = _test_pixels(kind, seed, width, height)
         y = luminance(pixels)
-        img = RgbImage(pixels) if source == "rgb" else ycc_from_y(y)
-        mask, image_log_mean = _log_stats(img)
+        mask, image_log_mean = _log_stats_of(source, pixels, y)
         dense_block_means, dense_mean = dense_log_stats(y)
         assert image_log_mean == dense_mean
         assert np.array_equal(mask, dense_block_means >= dense_mean - TIE_TOLERANCE)
