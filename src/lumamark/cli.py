@@ -28,17 +28,17 @@ from .errors import LumamarkError
 
 
 def _alpha_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("alpha must be >= 1")
-    return value
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError("alpha must be an integer >= 1")
 
 
 def _quality_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("quality must lie in (0, 1]")
-    return value
+    with contextlib.suppress(ValueError):
+        if 0.0 < (value := float(text)) <= 1.0:
+            return value
+    raise argparse.ArgumentTypeError("quality must be a number in (0, 1]")
 
 
 def _crop_arg(text: str) -> attacks.CropRect:

@@ -2,18 +2,20 @@
 
 Bit-to-pixel mapping, shared by both directions: watermark bit i (row-major
 over the 32x32 bitmap) lands in block plan.blocks[i // 64], at row-major
-position i % 64 inside that 8x8 block. White bits add alpha to the pixel's
-Y value, black bits subtract it. Extraction is non-blind: it reselects the
-plan from the original's log-average luminance and reads the sign of Y_w - Y
-in exact integer arithmetic (1000 * Y = 299R + 587G + 114B), where a
-difference of exactly zero decodes as white.
+position i % 64 inside that 8x8 block. White bits add the integer alpha to
+the pixel's R, G and B, black bits subtract it, clamped to [0, 255]: as
+YCC_TO_RGB's Y column is (1, 1, 1), that is +-alpha on Y rebuilt to 8-bit
+RGB. Extraction is non-blind: it reselects the plan from the original's
+log-average luminance and reads the sign of Y_w - Y in exact integer
+arithmetic (1000 * Y = 299R + 587G + 114B), where a difference of exactly
+zero decodes as white.
 """
 
+import operator
 import warnings
 
 import numpy as np
 
-from .colorspace import pixels_to_ycc, ycc_to_pixels
 from .errors import DimensionMismatch
 from .pixmap import WATERMARK_BITS, WATERMARK_SIDE, RgbFile, RgbImage, WatermarkBitmap
 from .selection import BLOCK_SIZE, SelectionPlan, partition_grid, select_blocks
@@ -64,23 +66,25 @@ def _decode(original_carriers: np.ndarray, marked_carriers: np.ndarray) -> np.nd
 
 def _mark(carriers: np.ndarray, bits: np.ndarray, alpha: int) -> np.ndarray:
     """``embed`` on the (n, 3) uint8 carriers alone, with its checks of alpha
-    and its warnings: each Y moves by +alpha (bit 1) or -alpha (bit 0), and
-    the carriers are rebuilt to 8-bit RGB."""
+    and its warnings: each channel moves by +alpha (bit 1) or -alpha (bit 0),
+    clamped to [0, 255]."""
+    alpha = operator.index(alpha)
     if alpha < 1:
         raise ValueError("alpha must be >= 1 (0 would make the sign test vacuous)")
     if alpha < 2:
-        warnings.warn("alpha=1 leaves no headroom for reconstruction rounding", stacklevel=3)
-    ycc = pixels_to_ycc(carriers)
-    # The sign in float64: -alpha would wrap for an unsigned numpy alpha.
-    ycc[:, 0] += np.where(bits == 1, 1.0, -1.0) * alpha
-    marked = ycc_to_pixels(ycc)
+        warnings.warn(
+            "alpha=1 is a one-unit change, which an attack's rounding undoes", stacklevel=3
+        )
+    # An alpha of 255 or more saturates every channel: capped, it fits int16.
+    step = np.where(bits == 1, 1, -1).astype(np.int16) * min(alpha, 255)
+    marked = np.clip(carriers + step[:, None], 0, 255).astype(np.uint8)
     # extract's own decoding, so this counts exactly the carriers it reads wrong.
     wrong = int(np.count_nonzero(_decode(carriers, marked) != bits))
     if wrong:
         warnings.warn(
-            f"{wrong} of {bits.size} carriers cannot carry their bit: after rounding "
-            "and clamping to [0, 255] their luminance change has the wrong sign, so "
-            "extraction reads them wrong",
+            f"{wrong} of {bits.size} carriers cannot carry their bit: they are black "
+            "bits on (0, 0, 0) pixels, which clamping leaves unchanged, so "
+            "extraction reads them white",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -93,22 +97,14 @@ def embed(
     alpha: int = DEFAULT_ALPHA,
     plan: SelectionPlan | None = None,
 ) -> RgbImage:
-    """Embed the watermark and reconstruct 8-bit RGB at the carriers.
+    """Embed the watermark: add alpha to, or subtract it from, the R, G and
+    B of the 1024 carrier pixels, clamped to [0, 255]; copy every other pixel.
 
-    Only the 1024 carrier pixels, gathered in bit order, go through YCbCr and
-    back; every other pixel is copied. That is the same output as rebuilding
-    the whole image: the colour transform is per pixel, and its round trip
-    reproduces every unmodified 8-bit triple exactly.
-
-    Issues a RuntimeWarning when rounding and clamping to [0, 255] leave
-    carriers whose realised luminance change has the wrong sign for their
-    bit (a white bit with dY < 0, a black bit with dY >= 0): extraction
-    reads those carriers wrong even from the unattacked image.
-
-    Without a plan the blocks are selected from the original. alpha must be
-    at least 1, and alpha 1 warns. With an integer alpha every carrier's
-    value before rounding lies at least 0.5 - 0.0704 from a half-integer, so
-    float noise cannot change a byte; a non-integer alpha has no such margin.
+    alpha is an integer (a float raises TypeError) of at least 1, and 1
+    warns. A RuntimeWarning counts the carriers that cannot carry their bit:
+    black bits on (0, 0, 0) pixels, which clamping leaves unchanged, so
+    extraction reads them white even from the unattacked image. Without a
+    plan the blocks are selected from the original.
     """
     ys, xs = embedded_pixel_coords(_plan_for(original, plan))
     marked = _mark(original.pixels[ys, xs], watermark.bits.reshape(-1), alpha)

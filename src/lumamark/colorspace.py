@@ -1,4 +1,4 @@
-"""RGB <-> YCbCr conversion for the embedding pipeline.
+"""RGB <-> YCbCr conversion: Y for selection and PSNR, the full pair for attacks.
 
 The transform pair is YIQ-style: Y carries luminance with weights
 (0.299, 0.587, 0.114) and the two chroma planes are zero on gray pixels.

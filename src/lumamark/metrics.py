@@ -27,10 +27,8 @@ def psnr(reference: RgbImage, test: RgbImage) -> float:
     for top in range(0, reference.height, STRIP_ROWS):
         rows = slice(top, top + STRIP_ROWS)
         ref_rows, test_rows = reference.pixels[rows], test.pixels[rows]
-        if np.array_equal(ref_rows, test_rows):
-            continue
-        dy = luminance(np.subtract(ref_rows, test_rows, dtype=np.int16))
-        ssd += float(np.square(dy, out=dy).sum())
+        if not np.array_equal(ref_rows, test_rows):
+            ssd += _ssd(ref_rows, test_rows)
     return _db(ssd, reference.width * reference.height)
 
 
@@ -38,8 +36,13 @@ def carrier_psnr(original: np.ndarray, marked: np.ndarray, pixel_count: int) -> 
     """``psnr`` of an image of ``pixel_count`` pixels and a copy that differs
     only at these (n, 3) uint8 carriers. It sums ``psnr``'s Y differences in
     another order, so it agrees to within a few ulp, not bit for bit."""
-    dy = luminance(np.subtract(original, marked, dtype=np.int16))
-    return _db(float(np.square(dy, out=dy).sum()), pixel_count)
+    return _db(_ssd(original, marked), pixel_count)
+
+
+def _ssd(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of squared Y differences of two uint8 channel arrays."""
+    dy = luminance(np.subtract(a, b, dtype=np.int16))
+    return float(np.square(dy, out=dy).sum())
 
 
 def _db(ssd: float, pixel_count: int) -> float:

@@ -5,10 +5,12 @@ oracle walks the lattice with a visited-set turning rule instead of run
 lengths, the candidate oracle recomputes every log-average with plain
 math over Python loops, and the dense codec oracle converts and rebuilds
 whole images where the library touches only the carrier pixels; its extract
-takes the exact integer 1000 * Y planes of both whole images. The dense
-PSNR oracle converts both whole images and subtracts their Y planes, where
-the library takes the luminance of the channel difference strip by strip
-and skips equal strips. The dense log-statistics oracle takes the log of a
+takes the exact integer 1000 * Y planes of both whole images. The carrier
+oracle moves Y by +-alpha through the float YCbCr round trip, where the
+library adds +-alpha to R, G and B and clamps. The dense PSNR oracle
+converts both whole images and subtracts their Y planes, where the library
+takes the luminance of the channel difference strip by strip and skips
+equal strips. The dense log-statistics oracle takes the log of a
 whole Y plane and numpy's means of it, where the library streams strips.
 The dense compression oracle converts whole images and transforms each
 plane on its own, where the library fuses the three planes per row strip.
@@ -24,7 +26,13 @@ from scipy.fft import dctn, idctn
 
 from lumamark.attacks import quant_steps
 from lumamark.codec import DEFAULT_ALPHA, embedded_pixel_coords
-from lumamark.colorspace import YcbcrImage, rgb_to_ycbcr, ycbcr_to_rgb
+from lumamark.colorspace import (
+    YcbcrImage,
+    pixels_to_ycc,
+    rgb_to_ycbcr,
+    ycbcr_to_rgb,
+    ycc_to_pixels,
+)
 from lumamark.pixmap import RgbImage, WatermarkBitmap
 from lumamark.selection import (
     BLOCK_SIZE,
@@ -226,6 +234,14 @@ def dense_embed(
     y = ycc.y.copy()
     y[ys, xs] += alpha * np.where(watermark.bits.reshape(-1) == 1, 1.0, -1.0)
     return ycbcr_to_rgb(YcbcrImage(y, ycc.cb, ycc.cr))
+
+
+def dense_mark(carriers: np.ndarray, bits: np.ndarray, alpha: int) -> np.ndarray:
+    """Reference carrier mark: the (n, 3) uint8 carriers to float YCbCr, +-alpha
+    on Y (bit 1 adds), rebuilt to 8-bit RGB with rounding and clamping."""
+    ycc = pixels_to_ycc(carriers)
+    ycc[:, 0] += np.where(bits == 1, 1.0, -1.0) * alpha
+    return ycc_to_pixels(ycc)
 
 
 def dense_y1000(img: RgbImage) -> np.ndarray:

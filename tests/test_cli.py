@@ -133,10 +133,21 @@ class TestEmbedCommand:
         plan = parse_plan(plan_path.read_text())
         assert len(plan.blocks) == 16
 
-    def test_alpha_below_one_is_usage_error(self, paths, tmp_path):
+    def test_alpha_below_one_is_usage_error(self, paths, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"), "--alpha", "0"])
         assert exc.value.code == 2
+        assert "argument --alpha: alpha must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["2.5", "x"])
+    def test_non_integer_alpha_says_what_alpha_must_be(self, paths, tmp_path, capsys, alpha):
+        # not argparse's "invalid _alpha_arg value", which names a private function
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"), "--alpha", alpha])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --alpha: alpha must be an integer >= 1" in err
+        assert "_arg" not in err
 
     @pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan", "x", "0.0001"])
     def test_delta_not_finite_and_positive_is_usage_error(self, paths, tmp_path, delta):
@@ -411,10 +422,19 @@ class TestAttackCommand:
         assert code == 2
         assert "RectOutOfBounds" in capsys.readouterr().err
 
-    def test_bad_quality_rejected(self, paths, tmp_path):
+    def test_bad_quality_rejected(self, paths, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", paths["img"], str(tmp_path / "o.ppm"), "--compress-quality", "1.5"])
         assert exc.value.code == 2
+        assert "quality must be a number in (0, 1]" in capsys.readouterr().err
+
+    def test_non_numeric_quality_says_what_quality_must_be(self, paths, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", paths["img"], str(tmp_path / "o.ppm"), "--compress-quality", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --compress-quality: quality must be a number in (0, 1]" in err
+        assert "_arg" not in err
 
 
 class TestMetricsCommand:

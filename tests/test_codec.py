@@ -23,6 +23,7 @@ from support import (
     delta_sensitive_image,
     dense_embed,
     dense_extract,
+    dense_mark,
     dense_y1000,
     gray_image,
     random_bitmap,
@@ -73,9 +74,15 @@ class TestEmbedParams:
 
     @pytest.mark.parametrize("numpy_int", [np.uint8, np.uint16, np.int8])
     def test_numpy_integer_alpha_embeds_like_int(self, corpus, logo, numpy_int):
-        # -alpha wraps for an unsigned alpha: np.uint8(3) would step by -253
+        # alpha becomes a Python int first, so an unsigned one cannot wrap to a
+        # step of -253
         img = corpus["smooth_blobs"]
         assert embed(img, logo, numpy_int(3)) == embed(img, logo, 3)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, np.float64(3)])
+    def test_non_integer_alpha_rejected(self, logo, alpha):
+        with pytest.raises(TypeError):
+            embed(gray_image(128, 64, 64), logo, alpha)
 
 
 class TestBitPixelMapping:
@@ -233,6 +240,32 @@ class TestExtract:
         assert extract(img, embed(img, logo, alpha=5)) == logo
 
 
+class TestMarkIsAnIntegerShift:
+    """_mark against the float YCbCr round trip of the carriers."""
+
+    @staticmethod
+    def _assert_same_as_dense(carriers, alpha):
+        for bit in (0, 1):
+            bits = np.full(len(carriers), bit, dtype=np.uint8)
+            with warnings.catch_warnings():
+                # alpha=1, and black bits on (0, 0, 0), warn
+                warnings.simplefilter("ignore")
+                marked = codec._mark(carriers, bits, alpha)
+            assert np.array_equal(marked, dense_mark(carriers, bits, alpha))
+
+    @pytest.mark.parametrize("alpha", [1, 3])
+    def test_every_triple(self, alpha):
+        # All 16,777,216 triples, in 16 slabs of 16 red values.
+        cube = np.indices((256, 256, 256), dtype=np.uint8).reshape(3, -1).T
+        for slab in np.split(cube, 16):
+            self._assert_same_as_dense(slab, alpha)
+
+    @pytest.mark.parametrize("alpha", [2, 60, 255, 256, 10**6, 2**40])
+    def test_sampled_triples(self, alpha):
+        rng = np.random.default_rng(alpha)
+        self._assert_same_as_dense(rng.integers(0, 256, (2**20, 3), dtype=np.uint8), alpha)
+
+
 class TestExactSignTest:
     """The decode compares 1000 * Y, which is an integer, so ties are exact."""
 
@@ -344,16 +377,18 @@ class TestDenseOracle:
         width=st.integers(64, 140),
         height=st.integers(64, 140),
         seed=st.integers(0, 2**32 - 1),
-        alpha=st.integers(2, 8),
+        alpha=st.integers(1, 300),
     )
     def test_same_bytes_and_bits_as_dense(self, width, height, seed, alpha):
+        # large alphas clamp carriers, and 255 or more saturates them
         rng = np.random.default_rng(seed)
         img = random_image(rng, width, height)
         wm = random_bitmap(rng)
         plan = select_blocks(img)
-        marked = embed(img, wm, alpha)
+        with pytest.warns(UserWarning, match="alpha=1") if alpha == 1 else contextlib.nullcontext():
+            marked = embed(img, wm, alpha)
+            assert embed(img, wm, alpha, plan=plan) == marked
         assert marked == dense_embed(img, wm, alpha)
-        assert embed(img, wm, alpha, plan=plan) == marked
         for test in (marked, compress_attack(marked, 0.75), random_image(rng, width, height)):
             expected = dense_extract(img, test)
             assert extract(img, test) == expected
@@ -383,7 +418,7 @@ class TestExactReversibility:
     )
     def test_exact_iff_every_carrier_keeps_its_sign(self, width, height, seed, alpha, extreme):
         # A share of the pixels sits within 3 of black or white, where
-        # rounding and clamping can eat a carrier's luminance change.
+        # clamping can eat a carrier's luminance change.
         rng = np.random.default_rng(seed)
         pixels = random_image(rng, width, height).pixels.copy()
         near_edge = rng.random(pixels.shape[:2]) < extreme
@@ -404,6 +439,7 @@ class TestExactReversibility:
         realised = dense_y1000(dense) - dense_y1000(img)
         white = wm.bits.reshape(-1) == 1
         unable = int(np.count_nonzero((realised[ys, xs] >= 0) != white))
+        assert unable == int(np.count_nonzero(~white & (img.pixels[ys, xs] == 0).all(axis=1)))
 
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")

@@ -78,6 +78,10 @@ class TestForward:
 
 
 class TestInverse:
+    def test_y_column_is_exactly_one(self):
+        # codec._mark rests on it: +-alpha on Y is +-alpha on R, G and B.
+        assert np.array_equal(YCC_TO_RGB[:, 0], [1.0, 1.0, 1.0])
+
     def test_zero_maps_to_zero(self):
         img = ycbcr_to_rgb(YcbcrImage(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))))
         assert img.pixels.tolist() == [[[0, 0, 0]]]
