@@ -4,8 +4,10 @@ The compression attack is a JPEG-style quantization pipeline, not a JPEG
 codec: every full 8x8 block of every Y/Cb/Cr plane is DCT-transformed,
 quantized against the standard luminance table scaled by the quality
 setting, and transformed back. Unlike a real encoder it is deterministic,
-but the blocks near a rounding tie get whatever bytes scipy's FFT rounds to,
-and no test shows that rounding to be the same on every platform.
+but the blocks near a rounding tie get whatever bytes scipy's FFT and the
+BLAS kernel behind the 3x3 colour products round to, and no test shows that
+rounding to be the same on every platform (OpenBLAS's pre-FMA kernel changes
+some).
 
 Its bytes are those of the exact path, ``_exact_blocks``: the colour
 matrices, scipy's FFT ``dctn``/``idctn`` and ``round_half_away``. The attack
@@ -18,7 +20,9 @@ coefficient over its step, or a pre-rounding RGB value. So every block with
 such a value within ``_EPS`` (a margin over the bound) of a half-integer is
 recomputed by the exact path, and no other block can round differently from
 it: a filter with an exact fallback, as in Shewchuk's robust geometric
-predicates (1997).
+predicates (1997). The fast path rounds halves to even (``np.rint``, one pass
+instead of three); an exact half is always flagged, so the exact path still
+rounds it away from zero.
 """
 
 from typing import NamedTuple
@@ -84,7 +88,9 @@ def grayscale_attack(img: RgbImage) -> RgbImage:
     for top in range(0, img.height, STRIP_ROWS):
         px = img.pixels[top : top + STRIP_ROWS]
         g = px[:, :, 0] * wr + px[:, :, 1] * wg + px[:, :, 2] * wb
-        g = np.clip(round_half_away(g), 0, 255, out=g).astype(np.uint8)
+        # Y >= 0, so trunc(Y + 0.5) is round_half_away(Y), in place.
+        g = np.trunc(np.add(g, 0.5, out=g), out=g)
+        g = np.clip(g, 0, 255, out=g).astype(np.uint8)
         # One channel at a time: a broadcast store of all three runs slower.
         for channel in range(3):
             out[top : top + STRIP_ROWS, :, channel] = g
@@ -134,7 +140,8 @@ _DCT = np.array(
 #   FFT: Higham's bound for a radix-2 FFT of length up to 16, 4 * 6.7u
 #   (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2).
 # - Quotients: 2 paths x 2 passes x 32u x 2432, plus the colour error
-#   2 x 8 x 3u x 304, over a step >= 1, plus the division's own rounding:
+#   2 x 8 x 3u x 304, over a step >= 1, plus the exact path's division (u)
+#   and the fast path's reciprocal and product (2u) on a quotient <= 2432:
 #   3.7e-11.
 # - RGB: both paths start from the same rounded coefficients, whose block
 #   norm is at most 2432 + |steps / 2| <= 2432 + 1.01 |LUMA_QUANT_TABLE| =
@@ -209,7 +216,7 @@ def _fast_quotients(src: np.ndarray, row_steps: np.ndarray) -> np.ndarray:
     np.matmul(RGB_TO_YCC, planes.reshape(3, -1), out=quotients.reshape(3, -1))
     np.matmul(_DCT, quotients, out=planes.reshape(quotients.shape))
     np.matmul(planes.reshape(-1, BLOCK_SIZE), _DCT.T, out=quotients.reshape(-1, BLOCK_SIZE))
-    quotients /= row_steps
+    quotients *= 1.0 / row_steps  # within 2u of the quotient; see _ERROR_BOUND
     return quotients
 
 
@@ -225,9 +232,11 @@ def _fast_rgb(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _round_flagging_ties(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``round_half_away(x)``, and the flat indices of the values of x that
-    lie within _EPS of a half-integer. Clobbers x."""
-    rounded = round_half_away(x)
+    """``np.rint(x)``, and the flat indices of the values of x that lie
+    within _EPS of a half-integer. Clobbers x. rint rounds halves to even and
+    ``round_half_away`` away from zero; an exact half is flagged, so the exact
+    path, which defines the bytes, rounds every value where the two differ."""
+    rounded = np.rint(x)
     np.subtract(x, rounded, out=x)
     return rounded, np.flatnonzero(np.abs(x, out=x) > 0.5 - _EPS)
 

@@ -182,6 +182,22 @@ class TestCompressDenseOracle:
 class TestCompressTieFallback:
     """Blocks near a rounding tie are recomputed by the exact path."""
 
+    @staticmethod
+    def exact_path_blocks(monkeypatch, pixels):
+        """The blocks compress_attack(quality 1.0) sends to _exact_blocks,
+        after checking its bytes against the dense oracle."""
+        exact = attacks._exact_blocks
+        seen = []
+
+        def spy(blocks, steps):
+            seen.extend(blocks.copy())
+            return exact(blocks, steps)
+
+        monkeypatch.setattr(attacks, "_exact_blocks", spy)
+        img = RgbImage(pixels)
+        assert compress_attack(img, 1.0) == dense_compress_attack(img, 1.0)
+        return seen
+
     @pytest.mark.parametrize("low", [0, 100])
     def test_dc_tie_block_takes_the_exact_path(self, monkeypatch, low):
         # Four pixels of low + 1 in a gray block of low: the Y sum is
@@ -193,18 +209,42 @@ class TestCompressTieFallback:
         dc = dctn(pixels_to_ycc(tie)[:, :, 0], type=2, norm="ortho")[0, 0]
         assert quant_steps(1.0)[0, 0] == 1.0
         assert dc == pytest.approx(8 * low + 0.5, abs=1e-12)
-        exact = attacks._exact_blocks
-        seen = []
+        assert np.array_equal(self.exact_path_blocks(monkeypatch, pixels), tie[np.newaxis])
 
-        def spy(blocks, steps):
-            seen.append(blocks.copy())
-            return exact(blocks, steps)
+    @pytest.mark.parametrize("low", [100, 200])
+    def test_negative_tie_block_takes_the_exact_path(self, monkeypatch, low):
+        # One pixel of low + 1 in block row 0 and five in row 1 of a gray block
+        # of low. The (4, 0) basis is (+-1/8) per pixel, + on row 0 and - on
+        # row 1, so that term is (1 - 5) / 8 = -0.5 (exactly, at these lows),
+        # while the DC term is 8 low + 0.75. At quality 1.0 its step is 1,
+        # and rounding half to even gives -0 where the bytes need -1.
+        pixels = np.full((16, 16, 3), low, dtype=np.uint8)
+        pixels[0, 0] = pixels[1, :5] = low + 1
+        tie = pixels[:8, :8].copy()
+        coeff = dctn(pixels_to_ycc(tie)[:, :, 0], type=2, norm="ortho")[4, 0]
+        assert quant_steps(1.0)[4, 0] == 1.0
+        assert coeff == -0.5
+        assert np.rint(coeff) != round_half_away(np.array([coeff]))[0]
+        assert np.array_equal(self.exact_path_blocks(monkeypatch, pixels), tie[np.newaxis])
 
-        monkeypatch.setattr(attacks, "_exact_blocks", spy)
-        img = RgbImage(pixels)
-        assert compress_attack(img, 1.0) == dense_compress_attack(img, 1.0)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], tie[np.newaxis])
+
+class TestRoundFlaggingTies:
+    """The fast path may round by any rule that agrees with round_half_away
+    on every value it does not flag."""
+
+    def test_flags_every_value_where_the_rounding_rules_disagree(self):
+        eps = attacks._EPS
+        halves = np.array([0.5, 1.5, 2.5, 2.0**20 + 0.5])
+        halves = np.concatenate([halves, -halves])
+        offsets = (0.0, -eps / 2, eps / 2, -4 * eps, 4 * eps)
+        x = np.concatenate([halves + d for d in offsets] + [np.array([0.0, 0.3, -1.7, 3.0])])
+        rounded, flagged = attacks._round_flagging_ties(x.copy())
+        away = round_half_away(x)
+        disagree = np.flatnonzero(rounded != away)
+        assert disagree.size > 0  # the exact halves 0.5, 2.5 and 2**20 + 0.5
+        assert np.isin(disagree, flagged).all()
+        from_half = np.abs(x - np.floor(x) - 0.5)
+        assert np.array_equal(flagged, np.flatnonzero(from_half <= eps))
 
 
 class TestCompressErrorBound:
