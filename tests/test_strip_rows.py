@@ -60,3 +60,14 @@ def test_same_bytes_at_any_strip_height(monkeypatch, at_default_height, strip_ro
         assert got_mean == image_log_mean
         assert got_attacked == attacked
         assert got_psnrs == pytest.approx(psnrs, rel=4 * sys.float_info.epsilon, abs=0)
+
+
+@pytest.mark.parametrize("cast_pixels", [1, 100, 1000])
+def test_same_log_stats_at_any_y_product_height(monkeypatch, at_default_height, cast_pixels):
+    # _log_stats takes each strip's Y product a few rows at a time: 1-12 rows
+    # at these widths, where the default takes the whole strip at once.
+    monkeypatch.setattr(selection, "_CAST_PIXELS", cast_pixels)
+    for img, (mask, image_log_mean, _, _) in at_default_height:
+        got_mask, got_mean = selection._log_stats(img)
+        assert np.array_equal(got_mask, mask)
+        assert got_mean == image_log_mean

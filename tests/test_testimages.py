@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+from lumamark import testimages
+from lumamark.colorspace import STRIP_ROWS
 from lumamark.pixmap import write_rgb_image, write_watermark
 from lumamark.testimages import (
     CORPUS_NAMES,
@@ -33,6 +35,10 @@ CORPUS_SHA256 = {
     ("fine_texture", 512): "3a09173c52afea2676d3bd8b8def6e6e86515766938648b2caca64836fa25ad6",
     ("smooth_blobs", 512): "663e0d71752163cb6d7fee94ac8afee1ba12643862d3f5ed55a168aef80ebc7f",
     ("soft_gradient", 512): "63150cc65fc69ba77dd2634f00852eca45e7ecff69381efd938be469a19661d5",
+    # The size the benchmark's file workload renders.
+    ("fine_texture", 2048): "fecedd7fd8d2d5ed3fcd6e736c6657bd909810a51b4b663c4bd68423774d5c2c",
+    ("smooth_blobs", 2048): "cfc0dedde54b41b80e66f822b5ff34c622566afbc63adb9cdb15411bb3381bf8",
+    ("soft_gradient", 2048): "c854dc144d349022e0311ea3713f7785056538b591531710b49d8e57a439190f",
 }
 
 
@@ -42,6 +48,15 @@ class TestPinnedBytes:
         img = corpus_image(name, size)
         assert (img.width, img.height) == (size, size)
         assert sha256(img.pixels) == CORPUS_SHA256[name, size]
+
+    @pytest.mark.parametrize("strip_rows", [8, 24, 256])
+    def test_same_bytes_at_any_strip_height(self, monkeypatch, strip_rows):
+        # Each pixel's arithmetic is its own, so the strips may split the
+        # rows anywhere, past the image's last row included.
+        monkeypatch.setattr(testimages, "STRIP_ROWS", strip_rows)
+        for name, size in sorted(CORPUS_SHA256):
+            if size in (100, 511):
+                assert sha256(corpus_image(name, size).pixels) == CORPUS_SHA256[name, size]
 
     def test_logo_watermark(self):
         assert sha256(logo_watermark().bits) == (
@@ -57,11 +72,19 @@ class TestPinnedBytes:
 class TestCorpusImage:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_peak_stays_under_ten_float_planes(self, name):
-        # The noise is blended separably and each channel is written straight
-        # into the uint8 result, so no full-size gather or float RGB stack lives.
+        # The noise is blended separably, a strip of rows at a time, so no
+        # full-size gather lives; the one float RGB stack is three planes.
         size = 512
         _, peak = traced_peak(corpus_image, name, size)
         assert peak <= 10 * size * size * 8
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_peak_is_the_rgb_stack_the_output_and_a_few_strips(self, name):
+        # Three float planes, the uint8 result, and room for the noise tables
+        # and one strip's temporaries: 16 float strips.
+        size = 1024
+        _, peak = traced_peak(corpus_image, name, size)
+        assert peak <= 3 * size * size * 8 + size * size * 3 + 16 * STRIP_ROWS * size * 8
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_bad_size_is_named(self, size):
