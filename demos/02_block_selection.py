@@ -10,14 +10,14 @@ near the center are skipped.
 import numpy as np
 
 from lumamark import candidate_blocks, log_average_luminance, select_blocks
-from lumamark.colorspace import luminance
+from lumamark.colorspace import RGB_TO_YCC
 from lumamark.selection import spiral_order
 from lumamark.testimages import corpus_image
 
 
 def main():
     image = corpus_image("fine_texture")
-    y = luminance(image.pixels)
+    y = image.pixels @ RGB_TO_YCC[0]
 
     image_avg = log_average_luminance(y)
     print(f"whole-image log-average luminance: {image_avg:.3f}")

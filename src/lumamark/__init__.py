@@ -10,7 +10,6 @@ from .attacks import CropRect, compress_attack, crop_attack, grayscale_attack
 from .codec import embed, extract
 from .errors import (
     DimensionMismatch,
-    EmptyRegion,
     ImageTooSmall,
     InsufficientCandidates,
     LumamarkError,
@@ -33,7 +32,6 @@ from .selection import (
     SelectionPlan,
     candidate_blocks,
     log_average_luminance,
-    partition_grid,
     select_blocks,
     spiral_order,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "BlockRef",
     "CropRect",
     "DimensionMismatch",
-    "EmptyRegion",
     "ImageTooSmall",
     "InsufficientCandidates",
     "LumamarkError",
@@ -68,7 +65,6 @@ __all__ = [
     "grayscale_attack",
     "log_average_luminance",
     "metrics",
-    "partition_grid",
     "pixmap",
     "psnr",
     "read_rgb_image",

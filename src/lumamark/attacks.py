@@ -78,7 +78,7 @@ def crop_attack(img: RgbImage, keep: CropRect) -> RgbImage:
 
 def grayscale_attack(img: RgbImage) -> RgbImage:
     """Replace each pixel with its rounded luminance; Y changes by rounding only."""
-    # Element-wise, not ``luminance``: its matrix-vector product rounds
+    # Element-wise, not ``pixels @ RGB_TO_YCC[0]``: that product rounds
     # differently, and 2529 of the 16,782 RGB triples whose Y is an exact
     # half (299r + 587g + 114b = 500 mod 1000) would then round the other way.
     # Strip by strip, so the float temporaries stay strip-sized and the

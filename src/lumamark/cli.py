@@ -67,12 +67,15 @@ def _write_atomic(path: Path, *chunks) -> None:
 
 
 def _check_outputs(*paths) -> None:
-    """Fail before any work when an output cannot be renamed into place."""
+    """Fail before any work when an output cannot be renamed into place, or
+    when two outputs name one file and the last rename would win."""
     for p in map(Path, paths):
         if p.is_dir():
             raise IsADirectoryError(f"output is a directory: {p}")
         if not p.parent.is_dir():
             raise FileNotFoundError(f"output directory not found: {p.parent}")
+    if len({Path(p).resolve() for p in paths}) < len(paths):
+        raise ValueError(f"outputs name one file: {', '.join(map(str, paths))}")
 
 
 def _read_image(path) -> pixmap.RgbImage:

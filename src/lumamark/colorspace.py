@@ -1,7 +1,9 @@
-"""RGB <-> YCbCr conversion: Y for selection and PSNR, the full pair for attacks.
+"""RGB <-> YCbCr conversion: the full pair for attacks, its Y row for the rest.
 
 The transform pair is YIQ-style: Y carries luminance with weights
 (0.299, 0.587, 0.114) and the two chroma planes are zero on gray pixels.
+Selection and PSNR take Y alone as ``pixels @ RGB_TO_YCC[0]``, which agrees
+with the Y of ``pixels_to_ycc`` to within a few ulp, not bit for bit.
 Forward conversion keeps full real precision (no rounding, no clamping);
 only the reconstruction back to 8-bit RGB quantizes. The pair is close
 enough to mutually inverse that reconstruction of an unmodified image
@@ -84,20 +86,6 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     out = np.copysign(0.5, x)
     out += x
     return np.trunc(out, out=out)
-
-
-def luminance(pixels: np.ndarray) -> np.ndarray:
-    """The float64 Y plane of an (h, w, 3) uint8 or signed-int channel array.
-
-    Builds no chroma and copies no planes, so whole-image statistics pay for
-    Y alone. It agrees with the Y of ``pixels_to_ycc`` (and of the reference
-    conversion ``rgb_to_ycbcr``) to within a few ulp, not bit for bit (a
-    matrix-vector product rounds differently from the 3x3 matrix product),
-    so code whose rounding could flip on last-ulp noise keeps using
-    ``pixels_to_ycc``. Y is linear: the luminance of a channel difference is
-    the difference of the two luminances.
-    """
-    return pixels @ RGB_TO_YCC[0]
 
 
 def pixels_to_ycc(pixels: np.ndarray) -> np.ndarray:

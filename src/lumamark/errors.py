@@ -22,10 +22,6 @@ class WrongDimensions(LumamarkError, ValueError):
     """Watermark bitmap file is not 32x32 (CLI exit 1)."""
 
 
-class EmptyRegion(LumamarkError):
-    """A luminance statistic was requested over zero samples (CLI exit 2)."""
-
-
 class ImageTooSmall(LumamarkError):
     """Image does not admit even a single 8x8 block (CLI exit 2)."""
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .colorspace import STRIP_ROWS, luminance
+from .colorspace import RGB_TO_YCC, STRIP_ROWS
 from .errors import DimensionMismatch
 from .pixmap import RgbImage, WatermarkBitmap, WATERMARK_BITS
 
@@ -41,7 +41,7 @@ def carrier_psnr(original: np.ndarray, marked: np.ndarray, pixel_count: int) -> 
 
 def _ssd(a: np.ndarray, b: np.ndarray) -> float:
     """The sum of squared Y differences of two uint8 channel arrays."""
-    dy = luminance(np.subtract(a, b, dtype=np.int16))
+    dy = np.subtract(a, b, dtype=np.int16) @ RGB_TO_YCC[0]
     return float(np.square(dy, out=dy).sum())
 
 

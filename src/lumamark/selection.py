@@ -9,8 +9,8 @@ The statistics stream through the image's ``rows``, ``STRIP_ROWS`` at a time
 the dense plane's ``log(DELTA + Y).mean()`` and block ``.mean(axis=(1, 3))``
 bit for bit:
 
-- A strip's Y is the same matrix-vector product per row as ``luminance``,
-  and ``log`` works element by element.
+- A strip's Y is the plane's matrix-vector product ``pixels @ RGB_TO_YCC[0]``
+  row by row, and ``log`` works element by element.
 - A block mean adds in numpy's own order: each block row's 8 logs pairwise,
   the 8 row sums in turn, then divides by 64 (numpy orders a lone block
   column differently, so there its own reduce runs).
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .colorspace import RGB_TO_YCC, STRIP_ROWS, YcbcrImage
-from .errors import EmptyRegion, ImageTooSmall, InsufficientCandidates
+from .errors import ImageTooSmall, InsufficientCandidates
 from .pixmap import RgbFile, RgbImage
 
 BLOCK_SIZE = 8
@@ -81,7 +81,7 @@ def log_average_luminance(y_values: np.ndarray) -> float:
     """exp of the mean of log(DELTA + Y): the geometric brightness of a region."""
     samples = np.asarray(y_values, dtype=np.float64).reshape(-1)
     if samples.size == 0:
-        raise EmptyRegion("log-average luminance of zero samples")
+        raise ValueError("log-average luminance of zero samples")
     _check_logs_defined(samples)
     return float(np.exp(np.log(DELTA + samples).mean()))
 

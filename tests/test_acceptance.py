@@ -11,7 +11,7 @@ import pytest
 
 from lumamark.attacks import center_keep_rect, compress_attack, crop_attack, grayscale_attack
 from lumamark.codec import embed, extract
-from lumamark.colorspace import rgb_to_ycbcr
+from lumamark.colorspace import RGB_TO_YCC
 from lumamark.metrics import decide, psnr, similarity
 from lumamark.pixmap import RgbImage, WatermarkBitmap
 from lumamark.selection import TIE_TOLERANCE, select_blocks, spiral_order
@@ -88,16 +88,17 @@ def test_criterion_6_selection_oracles(corpus):
                 got = [(b.col, b.row) for b in spiral_order(cols, rows)]
                 assert got == spiral_oracle(cols, rows), (cols, rows)
 
-        fixtures = [rgb_to_ycbcr(img) for img in corpus.values()]
-        fixtures.append(ycc_from_y(np.full((512, 512), 128.0)))
+        # (what selection reads, the Y plane the oracle reads)
+        fixtures = [(img, img.pixels @ RGB_TO_YCC[0]) for img in corpus.values()]
         two_tone = np.full((64, 64), 50.0)
         two_tone[:, :32] = 200.0
-        fixtures.append(ycc_from_y(two_tone))
-        for ycc in fixtures:
-            plan = select_blocks(ycc)
-            image_mean = log_mean_oracle(ycc.y)
+        for y in (np.full((512, 512), 128.0), two_tone):
+            fixtures.append((ycc_from_y(y), y))
+        for source, y in fixtures:
+            plan = select_blocks(source)
+            image_mean = log_mean_oracle(y)
             for b in plan.blocks:
-                block = ycc.y[b.row * 8 : b.row * 8 + 8, b.col * 8 : b.col * 8 + 8]
+                block = y[b.row * 8 : b.row * 8 + 8, b.col * 8 : b.col * 8 + 8]
                 assert log_mean_oracle(block) >= image_mean - TIE_TOLERANCE, b
 
 

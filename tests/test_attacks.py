@@ -80,7 +80,7 @@ class TestGrayscaleAttack:
 
     def test_exact_half_ties_use_the_element_wise_weights(self):
         # The 16,782 triples whose Y = (299r + 587g + 114b) / 1000 is an exact
-        # half. ``luminance`` rounds 2529 of them the other way, and
+        # half. ``pixels @ RGB_TO_YCC[0]`` rounds 2529 of them the other way, and
         # ``pixels_to_ycc`` more, so switching to either fails here.
         g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
         ties = []

@@ -133,6 +133,16 @@ class TestEmbedCommand:
         plan = parse_plan(plan_path.read_text())
         assert len(plan.blocks) == 16
 
+    def test_dump_plan_onto_the_output_writes_nothing(self, paths, tmp_path, capsys):
+        # The plan would be renamed over the marked image, last rename wins.
+        out = tmp_path / "out.ppm"
+        assert main(["embed", paths["img"], paths["logo"], str(out),
+                     "--dump-plan", str(tmp_path / "." / "out.ppm")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ValueError: outputs name one file: ")
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_alpha_below_one_is_usage_error(self, paths, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"), "--alpha", "0"])

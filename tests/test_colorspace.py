@@ -6,7 +6,6 @@ from lumamark.colorspace import (
     STRIP_ROWS,
     YCC_TO_RGB,
     YcbcrImage,
-    luminance,
     pixels_to_ycc,
     rgb_to_ycbcr,
     round_half_away,
@@ -64,17 +63,21 @@ class TestForward:
         rng = np.random.default_rng(987654321)
         sample = RgbImage(rng.integers(0, 256, size=(1000, 1024, 3), dtype=np.uint8))
         for img in (sample, *corpus.values()):
-            y = luminance(img.pixels)
+            y = img.pixels @ RGB_TO_YCC[0]
             assert y.dtype == np.float64 and y.shape == (img.height, img.width)
             assert np.abs(y - rgb_to_ycbcr(img).y).max() <= 1e-12
 
     @pytest.mark.parametrize("height", [1, STRIP_ROWS - 1, STRIP_ROWS, 3 * STRIP_ROWS + 5])
     def test_luminance_strips_equal_one_product(self, height):
-        # Strip-wise, the result is bit for bit the single whole-array product.
+        # Selection and psnr take the Y product a strip or a few rows at a
+        # time: bit for bit the single whole-array product.
         rng = np.random.default_rng(height)
         for dtype, lo in ((np.uint8, 0), (np.int16, -255)):
             pixels = rng.integers(lo, 256, size=(height, 77, 3)).astype(dtype)
-            assert np.array_equal(luminance(pixels), pixels @ RGB_TO_YCC[0])
+            whole = pixels @ RGB_TO_YCC[0]
+            for rows in (1, 8, STRIP_ROWS):
+                strips = [pixels[t : t + rows] @ RGB_TO_YCC[0] for t in range(0, height, rows)]
+                assert np.array_equal(np.concatenate(strips), whole)
 
 
 class TestInverse:
