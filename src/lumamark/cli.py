@@ -52,17 +52,25 @@ def _crop_arg(text: str) -> attacks.CropRect:
     return attacks.CropRect(x, y, w, h)
 
 
-def _write_atomic(path: Path, *chunks) -> None:
-    # os.open applies the umask itself, as open() does, so the file gets the
-    # mode a plain open() would give it.
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _write_atomic(outputs: dict[Path, list]) -> None:
+    """Write each path's chunks to a temporary name, then rename each into
+    place. A failure leaves no temporary and no renamed output behind."""
+    written = []  # what a failure removes: each temporary, once renamed its output
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in outputs.items():
+            # os.open applies the umask itself, as open() does, so the file
+            # gets the mode a plain open() would give it.
+            tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            written.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(chunks)
+        for k, path in enumerate(outputs):
+            os.replace(written[k], path)
+            written[k] = path
     except BaseException:
-        os.unlink(tmp)
+        for name in written:
+            os.unlink(name)
         raise
 
 
@@ -114,9 +122,10 @@ def cmd_embed(args) -> int:
     span = pixels[top:stop].copy()
     span[ys - top, xs] = marked
     header = pixmap.rgb_header(original.width, original.height)
-    _write_atomic(Path(args.output), header, pixels[:top], span, pixels[stop:])
+    outputs = {Path(args.output): [header, pixels[:top], span, pixels[stop:]]}
     if args.dump_plan:
-        _write_atomic(Path(args.dump_plan), selection.serialize_plan(plan).encode("ascii"))
+        outputs[Path(args.dump_plan)] = [selection.serialize_plan(plan).encode("ascii")]
+    _write_atomic(outputs)
     psnr_db = metrics.carrier_psnr(carriers, marked, original.width * original.height)
     print(f"psnr_db={_fmt(psnr_db)}")
     print(selection.plan_summary(plan))
@@ -138,7 +147,7 @@ def cmd_extract(args) -> int:
         plan = (selection.parse_plan(Path(args.use_plan).read_text("ascii"))
                 if args.use_plan else None)
         extracted = codec.extract(original, watermarked, plan=plan)
-    _write_atomic(Path(args.output), pixmap.write_watermark(extracted))
+    _write_atomic({Path(args.output): [pixmap.write_watermark(extracted)]})
     if reference is not None:
         _print_match(reference, extracted)
     return 0
@@ -153,7 +162,7 @@ def cmd_attack(args) -> int:
         attacked = attacks.grayscale_attack(img)
     else:
         attacked = attacks.compress_attack(img, args.compress_quality)
-    _write_atomic(Path(args.output), pixmap.write_rgb_image(attacked))
+    _write_atomic({Path(args.output): [pixmap.write_rgb_image(attacked)]})
     return 0
 
 

@@ -5,12 +5,16 @@ square spiral outward from the grid center, whose log-average luminance is
 at least the log-average luminance of the entire image.
 
 The statistics stream through the image's ``rows``, ``STRIP_ROWS`` at a time
-(an ``RgbFile`` is read strip by strip), so no Y plane is built. They equal
-the dense plane's ``log(DELTA + Y).mean()`` and block ``.mean(axis=(1, 3))``
-bit for bit:
+(an ``RgbFile`` is read strip by strip), so no Y plane is built. One pass
+takes the whole image's mean log; block means come from a window centred on
+the spiral's start, grown until it holds 16 candidates or covers the grid.
+The spiral walks the whole window before any cell outside it, so the plan is
+the whole grid's. Both equal the dense plane's ``log(DELTA + Y).mean()`` and
+block ``.mean(axis=(1, 3))`` bit for bit:
 
 - A strip's Y is the plane's matrix-vector product ``pixels @ RGB_TO_YCC[0]``
-  row by row, and ``log`` works element by element.
+  row by row, and ``log`` works element by element, so a pixel's log depends
+  on its own RGB triple alone, and a block's mean on its own 64 logs.
 - A block mean adds in numpy's own order: each block row's 8 logs pairwise,
   the 8 row sums in turn, then divides by 64 (numpy orders a lone block
   column differently, so there its own reduce runs).
@@ -93,16 +97,21 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
     return width // BLOCK_SIZE, height // BLOCK_SIZE
 
 
-# Leaves of numpy's pairwise-sum tree that ``_log_stats`` reduces on their
-# own, in elements. At least numpy's 128-element unrolled block, so numpy
-# never splits a run this short, and small enough that the part of a leaf
-# carried over from one strip to the next is a cache-sized copy.
+# Leaves of numpy's pairwise-sum tree that ``_image_log_mean`` reduces on
+# their own, in elements. At least numpy's 128-element unrolled block, so
+# numpy never splits a run this short, and small enough that the part of a
+# leaf carried over from one strip to the next is a cache-sized copy.
 _LEAF = 8192
 
-# Pixels that ``_log_stats`` casts to float64 for one Y product (384 KiB): a
+# Pixels that ``_strip_logs`` casts to float64 for one Y product (384 KiB): a
 # 512 px strip, or eight rows at 2048 px. Eight-row products at 512 px were
 # 7% slower, and whole 2048 px strips cast 1.5 MiB.
 _CAST_PIXELS = 16384
+
+# Radius in blocks of select_blocks' first window; it doubles until 16
+# candidates lie inside. The corpus's 16th candidate is within radius 3. At
+# least 1, so a window is one block wide (lone-column order) only if the grid is.
+_WINDOW_RADIUS = 4
 
 
 def _pairwise_sum(n: int, leaf_sum: Callable[[int], float]) -> float:
@@ -132,20 +141,28 @@ def _block_log_means(logs: np.ndarray, out: np.ndarray) -> None:
     np.divide(out, BLOCK_SIZE * BLOCK_SIZE, out=out)
 
 
-def _log_stats(img: RgbImage | RgbFile | YcbcrImage) -> tuple[np.ndarray, float]:
-    """The (grid_rows, grid_cols) candidate mask and the whole-image mean of
-    log(DELTA + Y), streamed through strips of ``STRIP_ROWS`` rows.
+def _strip_logs(
+    img: RgbImage | RgbFile | YcbcrImage, top: int, left: int, logs: np.ndarray
+) -> None:
+    """Write log(DELTA + Y) of as many pixels as fit, from (top, left), into ``logs``."""
+    bottom, right = top + logs.shape[0], left + logs.shape[1]
+    if isinstance(img, YcbcrImage):
+        logs[...] = img.y[top:bottom, left:right]
+    else:
+        px, step = img.rows(top, bottom)[:, left:right], max(1, _CAST_PIXELS // logs.shape[1])
+        for k in range(0, bottom - top, step):
+            np.matmul(px[k : k + step], RGB_TO_YCC[0], out=logs[k : k + step])
+    np.log(np.add(logs, DELTA, out=logs), out=logs)
 
-    The pairwise tree pulls the strips as its leaves need them. Each strip's
-    Y and logs go into one reused buffer, after the logs that earlier leaves
-    left over. No Y plane is built, and both results are bit for bit those
-    of the plane's ``.mean()`` and ``.mean(axis=(1, 3))``.
-    """
+
+def _image_log_mean(img: RgbImage | RgbFile | YcbcrImage) -> float:
+    """The whole-image mean of log(DELTA + Y), bit for bit the plane's
+    ``.mean()``. The pairwise tree pulls strips of ``STRIP_ROWS`` rows as its
+    leaves need them, into one reused buffer after the logs that earlier
+    leaves left over."""
     width, height = img.width, img.height
-    grid_cols, grid_rows = partition_grid(width, height)
     if isinstance(img, YcbcrImage):
         _check_logs_defined(img.y)
-    block_log_means = np.empty((grid_rows, grid_cols))
     buffer = np.empty(_LEAF + STRIP_ROWS * width)
     start = filled = top = 0
 
@@ -159,27 +176,28 @@ def _log_stats(img: RgbImage | RgbFile | YcbcrImage) -> tuple[np.ndarray, float]
             start = 0
             bottom = min(top + STRIP_ROWS, height)
             logs = buffer[filled : filled + (bottom - top) * width].reshape(bottom - top, width)
-            if isinstance(img, YcbcrImage):
-                logs[...] = img.y[top:bottom]
-            else:
-                px, step = img.rows(top, bottom), max(1, _CAST_PIXELS // width)
-                for k in range(0, bottom - top, step):
-                    np.matmul(px[k : k + step], RGB_TO_YCC[0], out=logs[k : k + step])
-            np.log(np.add(logs, DELTA, out=logs), out=logs)
-            block_bottom = min(bottom, grid_rows * BLOCK_SIZE)
-            if block_bottom > top:
-                _block_log_means(
-                    logs[: block_bottom - top],
-                    block_log_means[top // BLOCK_SIZE : block_bottom // BLOCK_SIZE],
-                )
+            _strip_logs(img, top, 0, logs)
             filled += logs.size
             top = bottom
         start += size
         return np.add.reduce(buffer[start - size : start])
 
     n = width * height
-    image_log_mean = float(_pairwise_sum(n, leaf_sum) / n)
-    return block_log_means >= image_log_mean - TIE_TOLERANCE, image_log_mean
+    return float(_pairwise_sum(n, leaf_sum) / n)
+
+
+def _window_log_means(img: RgbImage | RgbFile | YcbcrImage, cols: range, rows: range) -> np.ndarray:
+    """The (len(rows), len(cols)) means of log(DELTA + Y) over the blocks in
+    ``rows`` x ``cols``, a strip at a time, bit for bit the plane's
+    ``.mean(axis=(1, 3))`` there: a block's mean reads only its own 64 logs."""
+    left, width = cols.start * BLOCK_SIZE, len(cols) * BLOCK_SIZE
+    out, buffer = np.empty((len(rows), len(cols))), np.empty(STRIP_ROWS * width)
+    for first in range(0, len(rows), STRIP_ROWS // BLOCK_SIZE):
+        strip = out[first : first + STRIP_ROWS // BLOCK_SIZE]
+        logs = buffer[: strip.size * BLOCK_SIZE * BLOCK_SIZE].reshape(-1, width)
+        _strip_logs(img, (rows.start + first) * BLOCK_SIZE, left, logs)
+        _block_log_means(logs, strip)
+    return out
 
 
 def candidate_blocks(img: RgbImage | RgbFile | YcbcrImage) -> set[BlockRef]:
@@ -189,8 +207,9 @@ def candidate_blocks(img: RgbImage | RgbFile | YcbcrImage) -> set[BlockRef]:
     and columns that belong to no block. The comparison happens in the log
     domain with TIE_TOLERANCE of slack.
     """
-    is_candidate, _ = _log_stats(img)
-    rows, cols = np.nonzero(is_candidate)
+    grid_cols, grid_rows = partition_grid(img.width, img.height)
+    threshold = _image_log_mean(img) - TIE_TOLERANCE
+    rows, cols = np.nonzero(_window_log_means(img, range(grid_cols), range(grid_rows)) >= threshold)
     return {BlockRef(int(c), int(r)) for r, c in zip(rows, cols)}
 
 
@@ -233,11 +252,21 @@ def select_blocks(img: RgbImage | RgbFile | YcbcrImage) -> SelectionPlan:
     The spiral walk stops at the 16th candidate.
     """
     grid_cols, grid_rows = partition_grid(img.width, img.height)
-    is_candidate, image_log_mean = _log_stats(img)
-    count = int(is_candidate.sum())
+    image_log_mean = _image_log_mean(img)
+    col, row, radius = grid_cols // 2, grid_rows // 2, _WINDOW_RADIUS
+    while True:
+        cols = range(max(0, col - radius), min(grid_cols, col + radius + 1))
+        rows = range(max(0, row - radius), min(grid_rows, row + radius + 1))
+        is_candidate = _window_log_means(img, cols, rows) >= image_log_mean - TIE_TOLERANCE
+        count = int(is_candidate.sum())
+        if count >= PLAN_BLOCKS or len(cols) * len(rows) == grid_cols * grid_rows:
+            break
+        radius *= 2
     if count < PLAN_BLOCKS:
         raise InsufficientCandidates(f"{count} candidate blocks, need {PLAN_BLOCKS}")
-    walk = (ref for ref in _spiral(grid_cols, grid_rows) if is_candidate[ref.row, ref.col])
+    # The spiral covers the window first, and 16 candidates lie in it.
+    walk = (r for r in _spiral(grid_cols, grid_rows)
+            if is_candidate[r.row - rows.start, r.col - cols.start])
     return SelectionPlan(
         blocks=tuple(islice(walk, PLAN_BLOCKS)),
         grid_cols=grid_cols,

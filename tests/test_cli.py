@@ -200,7 +200,23 @@ class TestEmbedCommand:
 
     def test_a_write_failing_midway_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):
-            cli._write_atomic(tmp_path / "out.ppm", b"P6\n", bytes(1 << 20), object())
+            cli._write_atomic({tmp_path / "out.ppm": [b"P6\n", bytes(1 << 20), object()]})
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("call", ["open", "replace"])
+    def test_a_failing_plan_write_leaves_no_marked_image(self, paths, tmp_path, monkeypatch, call):
+        # Both outputs are written before either is renamed into place.
+        real = getattr(os, call)
+
+        def fail_on_plan(path, *args, **kwargs):
+            if "plan.txt" in os.fspath(path if call == "open" else args[0]):
+                raise PermissionError(f"{call} refused")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, call, fail_on_plan)
+        code = main(["embed", paths["img"], paths["logo"], str(tmp_path / "m.ppm"),
+                     "--dump-plan", str(tmp_path / "plan.txt")])
+        assert code == 1
         assert not list(tmp_path.iterdir())
 
     def test_dump_plan_into_a_directory_writes_nothing(self, paths, tmp_path, capsys):
@@ -279,8 +295,9 @@ class TestExtractCommand:
         assert span_bytes <= 512 * 512 * 3 // 8
 
     def test_without_a_plan_reads_the_original_by_strips(self, paths, tmp_path, monkeypatch):
-        # Selection reads the original 32 rows at a time; then the carrier
-        # rows of each file are read. Neither file is read whole.
+        # Selection reads the original 32 rows at a time, then the 72 rows of
+        # its first window of block means (32, 32 and 8 rows); then the
+        # carrier rows of each file are read. Neither file is read whole.
         marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
         assert main(["embed", paths["img"], paths["logo"], str(marked),
                      "--dump-plan", str(plan_path)]) == 0
@@ -295,7 +312,8 @@ class TestExtractCommand:
         monkeypatch.setattr(pixmap.os, "pread", pread)
         monkeypatch.setattr(pixmap, "read_rgb_image", None)  # a whole read would fail
         assert main(["extract", paths["img"], str(marked), str(tmp_path / "w.pbm")]) == 0
-        expected = [*2 * [pixmap.RgbFile._PREFIX, span_bytes], *16 * [32 * 512 * 3]]
+        strips = [*16 * [32 * 512 * 3], *2 * [32 * 512 * 3], 8 * 512 * 3]
+        expected = [*2 * [pixmap.RgbFile._PREFIX, span_bytes], *strips]
         assert sorted(requested) == sorted(expected)
 
     @pytest.mark.parametrize("fault", ["sizes", "sizes-use-plan", "grid", "sizes-and-grid"])

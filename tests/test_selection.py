@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lumamark import selection
 from lumamark.colorspace import RGB_TO_YCC, rgb_to_ycbcr
 from lumamark.errors import ImageTooSmall, InsufficientCandidates
 from lumamark.pixmap import RgbFile, RgbImage, write_rgb_image
@@ -18,7 +20,8 @@ from lumamark.selection import (
     BlockRef,
     SelectionPlan,
     _block_log_means,
-    _log_stats,
+    _image_log_mean,
+    _window_log_means,
     candidate_blocks,
     log_average_luminance,
     parse_plan,
@@ -160,21 +163,36 @@ class TestCandidateBlocks:
             assert got == candidate_oracle(y)
 
 
-def _log_stats_of(source: str, pixels: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """``_log_stats`` of the pixels as an RgbImage, as a P6 file read through
-    RgbFile, or of their Y plane as a YcbcrImage."""
+@contextlib.contextmanager
+def _source(source: str, pixels: np.ndarray, y: np.ndarray):
+    """The pixels as an RgbImage, as a P6 file read through RgbFile, or their
+    Y plane as a YcbcrImage."""
     if source == "rgb":
-        return _log_stats(RgbImage(pixels))
-    if source == "ycc":
-        return _log_stats(ycc_from_y(y))
-    with tempfile.TemporaryFile() as fh:
-        fh.write(write_rgb_image(RgbImage(pixels)))
-        fh.flush()
-        return _log_stats(RgbFile(fh))
+        yield RgbImage(pixels)
+    elif source == "ycc":
+        yield ycc_from_y(y)
+    else:
+        with tempfile.TemporaryFile() as fh:
+            fh.write(write_rgb_image(RgbImage(pixels)))
+            fh.flush()
+            yield RgbFile(fh)
+
+
+def _dark_centre_pixels(seed: int, width: int, height: int, dark_blocks: int) -> np.ndarray:
+    """Random noise with the blocks within ``dark_blocks`` of the spiral's
+    start darkened, so that selection's window of block means must grow past
+    them to find its candidates."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    col, row = width // 16, height // 16
+    top, left = max(0, row - dark_blocks) * 8, max(0, col - dark_blocks) * 8
+    bottom, right = (row + dark_blocks + 1) * 8, (col + dark_blocks + 1) * 8
+    pixels[top:bottom, left:right] //= int(rng.integers(4, 32))
+    return pixels
 
 
 class TestStreamedLogStats:
-    """The streamed mask, block means and image mean against the dense plane."""
+    """The streamed image mean and block means against the dense plane."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -198,15 +216,27 @@ class TestStreamedLogStats:
     def test_mask_and_mean_equal_the_dense_plane_bit_for_bit(self, source, kind, seed, width, height):
         pixels = _test_pixels(kind, seed, width, height)
         y = pixels @ RGB_TO_YCC[0]
-        mask, image_log_mean = _log_stats_of(source, pixels, y)
         dense_block_means, dense_mean = dense_log_stats(y)
-        assert image_log_mean == dense_mean
-        assert np.array_equal(mask, dense_block_means >= dense_mean - TIE_TOLERANCE)
-        # The mask's slack hides last-bit noise, so check the block means too.
         grid_rows, grid_cols = dense_block_means.shape
-        block_means = np.empty((grid_rows, grid_cols))
-        _block_log_means(np.log(DELTA + y[: grid_rows * 8]), block_means)
+        # A window as selection takes one: centred anywhere, radius >= 1.
+        rng = np.random.default_rng(seed)
+        col, row, radius = rng.integers(grid_cols), rng.integers(grid_rows), rng.integers(1, 9)
+        cols = range(max(0, col - radius), min(grid_cols, col + radius + 1))
+        rows = range(max(0, row - radius), min(grid_rows, row + radius + 1))
+        with _source(source, pixels, y) as img:
+            image_log_mean = _image_log_mean(img)
+            block_means = _window_log_means(img, range(grid_cols), range(grid_rows))
+            window = _window_log_means(img, cols, rows)
+            mask = {(b.col, b.row) for b in candidate_blocks(img)}
+        assert image_log_mean == dense_mean
+        dense_mask = dense_block_means >= dense_mean - TIE_TOLERANCE
+        assert mask == {(int(c), int(r)) for r, c in zip(*np.nonzero(dense_mask))}
+        # The mask's slack hides last-bit noise, so check the block means too.
         assert np.array_equal(block_means, dense_block_means)
+        assert np.array_equal(window, dense_block_means[rows.start : rows.stop, cols.start : cols.stop])
+        whole_plane = np.empty((grid_rows, grid_cols))
+        _block_log_means(np.log(DELTA + y[: grid_rows * 8]), whole_plane)
+        assert np.array_equal(whole_plane, dense_block_means)
 
 
 class TestSpiralOrder:
@@ -251,9 +281,12 @@ class TestSelectBlocks:
     def test_rgb_selection_builds_no_y_plane(self):
         # Selection streams its strips: the peak is a few strip buffers,
         # about 0.3 of the float64 Y plane at 512 px and 0.08 at 2048 px.
-        img = random_image(np.random.default_rng(5), 512, 512)
-        _, peak = traced_peak(select_blocks, img)
-        assert peak <= 0.4 * 512 * 512 * 8
+        # The dark centre's 37x37 blocks hold no candidate, so the window
+        # grows to the whole grid and is streamed as well.
+        dark_centre = RgbImage(_dark_centre_pixels(6, 512, 512, 18))
+        for img in (random_image(np.random.default_rng(5), 512, 512), dark_centre):
+            _, peak = traced_peak(select_blocks, img)
+            assert peak <= 0.4 * 512 * 512 * 8
 
     def test_leaves_nothing_for_the_cycle_collector(self):
         # With the cycle collector off, a reference cycle in selection would
@@ -275,6 +308,58 @@ class TestSelectBlocks:
             if was_enabled:
                 gc.enable()
         assert live <= 64 * 1024
+
+    def test_corpus_takes_block_means_of_the_first_window_only(self, corpus, monkeypatch):
+        # The corpus's 16th candidate lies well inside the first window, so
+        # selection takes the means of its 81 blocks, not of all 4096.
+        sizes = []
+
+        def spy(logs, out):
+            sizes.append(out.size)
+            _block_log_means(logs, out)
+
+        monkeypatch.setattr(selection, "_block_log_means", spy)
+        for name, img in corpus.items():
+            sizes.clear()
+            select_blocks(img)
+            assert 0 < sum(sizes) <= (2 * selection._WINDOW_RADIUS + 1) ** 2, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["rgb", "ycc", "file"]),
+        st.integers(0, 2**31 - 1),
+        st.integers(40, 260),
+        st.integers(40, 260),
+        st.integers(0, 16),
+    )
+    @example("rgb", 0, 200, 200, 6)  # the window grows to radius 8
+    @example("file", 1, 260, 200, 12)  # and to the whole grid
+    @example("ycc", 2, 88, 96, 5)  # too few candidates anywhere
+    def test_dark_centre_plans_equal_the_oracle(self, source, seed, width, height, dark_blocks):
+        pixels = _dark_centre_pixels(seed, width, height, dark_blocks)
+        y = pixels @ RGB_TO_YCC[0]
+        grid_cols, grid_rows = width // 8, height // 8
+        cands = candidate_oracle(y)
+        expected = [BlockRef(c, r) for c, r in spiral_oracle(grid_cols, grid_rows) if (c, r) in cands]
+        with _source(source, pixels, y) as img:
+            if len(expected) < 16:
+                message = f"^{len(expected)} candidate blocks, need 16$"
+                with pytest.raises(InsufficientCandidates, match=message):
+                    select_blocks(img)
+                return
+            plan = select_blocks(img)
+        assert list(plan.blocks) == expected[:16]
+        assert plan.image_log_avg == float(np.exp(dense_log_stats(y)[1]))
+
+    def test_insufficient_candidates_counts_the_whole_grid(self):
+        # 16x16 grid: 5 bright blocks about the spiral's start and 5 in a
+        # corner, so the first window holds 5 candidates and the grid 10.
+        y = np.full((128, 128), 50.0)
+        for col, row in [(8, 8), (9, 8), (7, 8), (8, 7), (8, 9), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]:
+            y[row * 8 : row * 8 + 8, col * 8 : col * 8 + 8] = 200.0
+        assert len(candidate_oracle(y)) == 10
+        with pytest.raises(InsufficientCandidates, match="^10 candidate blocks, need 16$"):
+            select_blocks(ycc_from_y(y))
 
     def test_exactly_15_candidates_is_insufficient(self):
         # 5x5 grid: 15 bright blocks, 10 dark ones.

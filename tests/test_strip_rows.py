@@ -1,8 +1,8 @@
 """The whole-image passes give the same bytes at any strip height.
 
 ``selection``, ``attacks`` and ``metrics`` walk images in strips of
-``STRIP_ROWS`` rows. The candidate mask, the image's mean log, and the
-attacked images must not depend on the strip height, so that any partition
+``STRIP_ROWS`` rows. The block means, the image's mean log, the plan and
+the attacked images must not depend on the strip height, so that any partition
 of the strips gives the same output. ``psnr`` adds one float sum per strip,
 so its sum regroups with the height: it agrees to within a few ulp only.
 """
@@ -37,11 +37,19 @@ def _images():
         yield _smooth_image(width, height)
 
 
+def _log_stats(img):
+    """The whole grid's block means and the image's mean of log(DELTA + Y)."""
+    grid_cols, grid_rows = selection.partition_grid(img.width, img.height)
+    block_means = selection._window_log_means(img, range(grid_cols), range(grid_rows))
+    return block_means, selection._image_log_mean(img)
+
+
 def _passes(img):
-    """The log statistics, the attacked images and their PSNRs."""
-    mask, image_log_mean = selection._log_stats(img)
+    """The log statistics, the plan, the attacked images and their PSNRs."""
+    block_means, image_log_mean = _log_stats(img)
     attacked = [compress_attack(img, 1.0), compress_attack(img, 0.75), grayscale_attack(img)]
-    return mask, image_log_mean, attacked, [metrics.psnr(img, a) for a in attacked]
+    psnrs = [metrics.psnr(img, a) for a in attacked]
+    return block_means, image_log_mean, selection.select_blocks(img), attacked, psnrs
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +62,22 @@ def at_default_height():
 def test_same_bytes_at_any_strip_height(monkeypatch, at_default_height, strip_rows):
     for module in (selection, attacks, metrics):
         monkeypatch.setattr(module, "STRIP_ROWS", strip_rows)
-    for img, (mask, image_log_mean, attacked, psnrs) in at_default_height:
-        got_mask, got_mean, got_attacked, got_psnrs = _passes(img)
-        assert np.array_equal(got_mask, mask)
+    for img, (block_means, image_log_mean, plan, attacked, psnrs) in at_default_height:
+        got_means, got_mean, got_plan, got_attacked, got_psnrs = _passes(img)
+        assert np.array_equal(got_means, block_means)
         assert got_mean == image_log_mean
+        assert got_plan == plan
         assert got_attacked == attacked
         assert got_psnrs == pytest.approx(psnrs, rel=4 * sys.float_info.epsilon, abs=0)
 
 
 @pytest.mark.parametrize("cast_pixels", [1, 100, 1000])
 def test_same_log_stats_at_any_y_product_height(monkeypatch, at_default_height, cast_pixels):
-    # _log_stats takes each strip's Y product a few rows at a time: 1-12 rows
+    # Selection takes each strip's Y product a few rows at a time: 1-12 rows
     # at these widths, where the default takes the whole strip at once.
     monkeypatch.setattr(selection, "_CAST_PIXELS", cast_pixels)
-    for img, (mask, image_log_mean, _, _) in at_default_height:
-        got_mask, got_mean = selection._log_stats(img)
-        assert np.array_equal(got_mask, mask)
+    for img, (block_means, image_log_mean, plan, _, _) in at_default_height:
+        got_means, got_mean = _log_stats(img)
+        assert np.array_equal(got_means, block_means)
         assert got_mean == image_log_mean
+        assert selection.select_blocks(img) == plan
