@@ -11,7 +11,7 @@ import numpy as np
 
 from lumamark import candidate_blocks, log_average_luminance, select_blocks
 from lumamark.colorspace import RGB_TO_YCC
-from lumamark.selection import spiral_order
+from lumamark.selection import BlockRef, spiral_order
 from lumamark.testimages import corpus_image
 
 
@@ -40,7 +40,7 @@ def main():
     for row in range(26, 38):
         cells = []
         for col in range(26, 38):
-            ref = next(b for b in walked if (b.col, b.row) == (col, row))
+            ref = BlockRef(col, row)
             cells.append("#" if ref in chosen else "+" if ref in candidates else ".")
         print(" ".join(cells))
 

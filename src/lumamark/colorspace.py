@@ -37,7 +37,9 @@ YCC_TO_RGB = np.array(
 # Whole-image passes run over strips of this many rows: a multiple of the
 # 8-pixel block, and small enough that a strip's float64 temporaries stay in
 # L2 at 512-2048 px widths (32 rows ran within 10% of the fastest height,
-# 8-128 tried, at both widths).
+# 8-128 tried, at both widths). Its users are grayscale_attack,
+# compress_attack, psnr and corpus_image; selection bounds its reads by
+# pixels instead (selection._LEAF).
 STRIP_ROWS = 32
 
 

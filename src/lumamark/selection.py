@@ -4,35 +4,33 @@ The 16 blocks that carry the watermark are the first 16 blocks, walking a
 square spiral outward from the grid center, whose log-average luminance is
 at least the log-average luminance of the entire image.
 
-The statistics stream through the image's ``rows``, ``STRIP_ROWS`` at a time
-(an ``RgbFile`` is read strip by strip), so no Y plane is built. One pass
+The statistics read the image's ``rows`` at most ``_LEAF`` pixels at a time
+(an ``RgbFile`` is read with ``pread``), so no Y plane is built. One pass
 takes the whole image's mean log; block means come from a window centred on
 the spiral's start, grown until it holds 16 candidates or covers the grid.
 The spiral walks the whole window before any cell outside it, so the plan is
 the whole grid's. Both equal the dense plane's ``log(DELTA + Y).mean()`` and
 block ``.mean(axis=(1, 3))`` bit for bit:
 
-- A strip's Y is the plane's matrix-vector product ``pixels @ RGB_TO_YCC[0]``
-  row by row, and ``log`` works element by element, so a pixel's log depends
-  on its own RGB triple alone, and a block's mean on its own 64 logs.
-- A block mean adds in numpy's own order: each block row's 8 logs pairwise,
-  the 8 row sums in turn, then divides by 64 (numpy orders a lone block
-  column differently, so there its own reduce runs).
+- A pixel's Y is its own row of the product ``pixels @ RGB_TO_YCC[0]``, and
+  ``log`` works element by element, so a pixel's log depends on its own RGB
+  triple alone, and a block's mean on its own 64 logs, which numpy's own
+  ``.mean(axis=(1, 3))`` reduces from the window's rows.
 - numpy sums the whole plane pairwise, splitting any run longer than 128 at
   half its length rounded down to a multiple of 8. The split depends only
   on the length, so every subtree is ``np.add.reduce`` of its own run. One
-  recursion walks the tree down to runs of at most ``_LEAF`` logs, which
-  pull in strips as they need them and are reduced on their own.
+  recursion walks the tree down to leaves of at most ``_LEAF`` logs; each
+  leaf reads the rows it spans and takes the logs of its own pixels only.
 """
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .colorspace import RGB_TO_YCC, STRIP_ROWS, YcbcrImage
+from .colorspace import RGB_TO_YCC, YcbcrImage
 from .errors import ImageTooSmall, InsufficientCandidates
 from .pixmap import RgbFile, RgbImage
 
@@ -97,106 +95,65 @@ def partition_grid(width: int, height: int) -> tuple[int, int]:
     return width // BLOCK_SIZE, height // BLOCK_SIZE
 
 
-# Leaves of numpy's pairwise-sum tree that ``_image_log_mean`` reduces on
-# their own, in elements. At least numpy's 128-element unrolled block, so
-# numpy never splits a run this short, and small enough that the part of a
-# leaf carried over from one strip to the next is a cache-sized copy.
-_LEAF = 8192
-
-# Pixels that ``_strip_logs`` casts to float64 for one Y product (384 KiB): a
-# 512 px strip, or eight rows at 2048 px. Eight-row products at 512 px were
-# 7% slower, and whole 2048 px strips cast 1.5 MiB.
-_CAST_PIXELS = 16384
+# Leaves of numpy's pairwise-sum tree that ``_log_sum`` reduces on their
+# own, in pixels, and the most pixels a read takes (a window read takes at
+# least one block row): 384 KiB of float64 cast for the Y product. At least
+# numpy's 128-element unrolled block, so numpy never splits a run this short
+# and the tree is the whole plane's.
+_LEAF = 16384
 
 # Radius in blocks of select_blocks' first window; it doubles until 16
-# candidates lie inside. The corpus's 16th candidate is within radius 3. At
-# least 1, so a window is one block wide (lone-column order) only if the grid is.
+# candidates lie inside. The corpus's 16th candidate is within radius 3.
 _WINDOW_RADIUS = 4
 
 
-def _pairwise_sum(n: int, leaf_sum: Callable[[int], float]) -> float:
-    """numpy's pairwise sum of ``n`` elements, with ``leaf_sum(size)`` summing
-    each run of at most ``_LEAF`` in order. numpy splits a longer run at half
-    its length rounded down to a multiple of its 8-way unroll."""
-    if n <= _LEAF:
-        return leaf_sum(n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(n - half, leaf_sum)
-
-
-def _block_log_means(logs: np.ndarray, out: np.ndarray) -> None:
-    """Write the means of the 8x8 blocks of ``logs``, whole block rows, into
-    ``out``, bit for bit ``.mean(axis=(1, 3))`` of their 4-d view."""
-    grid_cols = out.shape[1]
-    blocks = logs[:, : grid_cols * BLOCK_SIZE].reshape(-1, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
-    if grid_cols == 1:
-        # numpy sums a lone block column column-first; its reduce is cheap here.
-        out[...] = blocks.mean(axis=(1, 3))
-        return
-    # numpy sums each block row's 8 values pairwise, then the 8 rows in turn.
-    pairs = blocks[..., 0::2] + blocks[..., 1::2]
-    quads = pairs[..., 0::2] + pairs[..., 1::2]
-    row_sums = np.add(quads[..., 0], quads[..., 1], out=pairs[..., 0])
-    np.add.reduce(row_sums, axis=1, out=out)
-    np.divide(out, BLOCK_SIZE * BLOCK_SIZE, out=out)
-
-
-def _strip_logs(
-    img: RgbImage | RgbFile | YcbcrImage, top: int, left: int, logs: np.ndarray
-) -> None:
-    """Write log(DELTA + Y) of as many pixels as fit, from (top, left), into ``logs``."""
-    bottom, right = top + logs.shape[0], left + logs.shape[1]
+def _logs(
+    img: RgbImage | RgbFile | YcbcrImage, top: int, stop: int, cols: slice, run: slice
+) -> np.ndarray:
+    """Flat log(DELTA + Y) of the row-major ``run`` of rows ``top:stop`` in
+    ``cols``. The run is cut before the Y product, so only its pixels are
+    cast and multiplied."""
     if isinstance(img, YcbcrImage):
-        logs[...] = img.y[top:bottom, left:right]
+        y = img.y[top:stop, cols].reshape(-1)[run] + DELTA
     else:
-        px, step = img.rows(top, bottom)[:, left:right], max(1, _CAST_PIXELS // logs.shape[1])
-        for k in range(0, bottom - top, step):
-            np.matmul(px[k : k + step], RGB_TO_YCC[0], out=logs[k : k + step])
-    np.log(np.add(logs, DELTA, out=logs), out=logs)
+        y = img.rows(top, stop)[:, cols].reshape(-1, 3)[run] @ RGB_TO_YCC[0]
+        np.add(y, DELTA, out=y)
+    return np.log(y, out=y)
+
+
+def _log_sum(img: RgbImage | RgbFile | YcbcrImage, start: int, n: int) -> float:
+    """numpy's pairwise sum of the ``n`` logs from row-major pixel ``start``.
+    numpy splits a run longer than 128 at half its length rounded down to a
+    multiple of its 8-way unroll; each leaf reads only the rows it spans."""
+    if n > _LEAF:
+        half = n // 2 - n // 2 % 8
+        return _log_sum(img, start, half) + _log_sum(img, start + half, n - half)
+    top, offset = divmod(start, img.width)
+    stop = top + -(-(offset + n) // img.width)
+    return np.add.reduce(_logs(img, top, stop, slice(None), slice(offset, offset + n)))
 
 
 def _image_log_mean(img: RgbImage | RgbFile | YcbcrImage) -> float:
-    """The whole-image mean of log(DELTA + Y), bit for bit the plane's
-    ``.mean()``. The pairwise tree pulls strips of ``STRIP_ROWS`` rows as its
-    leaves need them, into one reused buffer after the logs that earlier
-    leaves left over."""
-    width, height = img.width, img.height
+    """The whole-image mean of log(DELTA + Y), bit for bit the plane's ``.mean()``."""
     if isinstance(img, YcbcrImage):
         _check_logs_defined(img.y)
-    buffer = np.empty(_LEAF + STRIP_ROWS * width)
-    start = filled = top = 0
-
-    # Not nested in itself: a self-referencing closure is a reference cycle
-    # that would keep every call's buffer alive until the cycle collector runs.
-    def leaf_sum(size: int) -> float:
-        nonlocal start, filled, top
-        while filled - start < size:
-            filled -= start
-            buffer[:filled] = buffer[start : start + filled]
-            start = 0
-            bottom = min(top + STRIP_ROWS, height)
-            logs = buffer[filled : filled + (bottom - top) * width].reshape(bottom - top, width)
-            _strip_logs(img, top, 0, logs)
-            filled += logs.size
-            top = bottom
-        start += size
-        return np.add.reduce(buffer[start - size : start])
-
-    n = width * height
-    return float(_pairwise_sum(n, leaf_sum) / n)
+    n = img.width * img.height
+    return float(_log_sum(img, 0, n) / n)
 
 
 def _window_log_means(img: RgbImage | RgbFile | YcbcrImage, cols: range, rows: range) -> np.ndarray:
     """The (len(rows), len(cols)) means of log(DELTA + Y) over the blocks in
-    ``rows`` x ``cols``, a strip at a time, bit for bit the plane's
-    ``.mean(axis=(1, 3))`` there: a block's mean reads only its own 64 logs."""
-    left, width = cols.start * BLOCK_SIZE, len(cols) * BLOCK_SIZE
-    out, buffer = np.empty((len(rows), len(cols))), np.empty(STRIP_ROWS * width)
-    for first in range(0, len(rows), STRIP_ROWS // BLOCK_SIZE):
-        strip = out[first : first + STRIP_ROWS // BLOCK_SIZE]
-        logs = buffer[: strip.size * BLOCK_SIZE * BLOCK_SIZE].reshape(-1, width)
-        _strip_logs(img, (rows.start + first) * BLOCK_SIZE, left, logs)
-        _block_log_means(logs, strip)
+    ``rows`` x ``cols``, read at most ``_LEAF`` pixels at a time, bit for
+    bit the plane's ``.mean(axis=(1, 3))`` there."""
+    c = len(cols)
+    pixel_cols = slice(cols.start * BLOCK_SIZE, cols.stop * BLOCK_SIZE)
+    step = max(1, _LEAF // (BLOCK_SIZE * BLOCK_SIZE * c))
+    out = np.empty((len(rows), c))
+    for first in range(0, len(rows), step):
+        k = min(step, len(rows) - first)
+        top = (rows.start + first) * BLOCK_SIZE
+        logs = _logs(img, top, top + k * BLOCK_SIZE, pixel_cols, slice(None))
+        out[first : first + k] = logs.reshape(k, BLOCK_SIZE, c, BLOCK_SIZE).mean(axis=(1, 3))
     return out
 
 

@@ -295,9 +295,9 @@ class TestExtractCommand:
         assert span_bytes <= 512 * 512 * 3 // 8
 
     def test_without_a_plan_reads_the_original_by_strips(self, paths, tmp_path, monkeypatch):
-        # Selection reads the original 32 rows at a time, then the 72 rows of
-        # its first window of block means (32, 32 and 8 rows); then the
-        # carrier rows of each file are read. Neither file is read whole.
+        # Selection reads the original one 32-row pairwise leaf at a time,
+        # then the 72 rows of its first window of block means in one read;
+        # then the carrier rows of each file are read. Neither file is read whole.
         marked, plan_path = tmp_path / "marked.ppm", tmp_path / "plan.txt"
         assert main(["embed", paths["img"], paths["logo"], str(marked),
                      "--dump-plan", str(plan_path)]) == 0
@@ -312,7 +312,7 @@ class TestExtractCommand:
         monkeypatch.setattr(pixmap.os, "pread", pread)
         monkeypatch.setattr(pixmap, "read_rgb_image", None)  # a whole read would fail
         assert main(["extract", paths["img"], str(marked), str(tmp_path / "w.pbm")]) == 0
-        strips = [*16 * [32 * 512 * 3], *2 * [32 * 512 * 3], 8 * 512 * 3]
+        strips = [*16 * [32 * 512 * 3], 72 * 512 * 3]
         expected = [*2 * [pixmap.RgbFile._PREFIX, span_bytes], *strips]
         assert sorted(requested) == sorted(expected)
 

@@ -19,7 +19,6 @@ from lumamark.selection import (
     TIE_TOLERANCE,
     BlockRef,
     SelectionPlan,
-    _block_log_means,
     _image_log_mean,
     _window_log_means,
     candidate_blocks,
@@ -213,6 +212,10 @@ class TestStreamedLogStats:
     @example("rgb", "random", 8, 300, 36)  # the last strip is shorter than a block row
     @example("file", "random", 9, 300, 36)
     @example("file", "levels", 10, 1100, 1100)
+    @example("file", "random", 11, 9, 300)  # a lone block column, with a remainder
+    @example("file", "levels", 12, 15, 200)
+    @example("ycc", "random", 13, 9, 200)
+    @example("ycc", "random", 14, 15, 300)
     def test_mask_and_mean_equal_the_dense_plane_bit_for_bit(self, source, kind, seed, width, height):
         pixels = _test_pixels(kind, seed, width, height)
         y = pixels @ RGB_TO_YCC[0]
@@ -234,9 +237,6 @@ class TestStreamedLogStats:
         # The mask's slack hides last-bit noise, so check the block means too.
         assert np.array_equal(block_means, dense_block_means)
         assert np.array_equal(window, dense_block_means[rows.start : rows.stop, cols.start : cols.stop])
-        whole_plane = np.empty((grid_rows, grid_cols))
-        _block_log_means(np.log(DELTA + y[: grid_rows * 8]), whole_plane)
-        assert np.array_equal(whole_plane, dense_block_means)
 
 
 class TestSpiralOrder:
@@ -279,18 +279,25 @@ class TestSelectBlocks:
         assert plan.image_log_avg == pytest.approx(128.0001, rel=1e-9)
 
     def test_rgb_selection_builds_no_y_plane(self):
-        # Selection streams its strips: the peak is a few strip buffers,
-        # about 0.3 of the float64 Y plane at 512 px and 0.08 at 2048 px.
+        # Selection reads at most _LEAF pixels at a time: the peak is one
+        # read's float64 cast and logs, 0.25-0.33 of the float64 Y plane here.
         # The dark centre's 37x37 blocks hold no candidate, so the window
-        # grows to the whole grid and is streamed as well.
+        # grows to the whole grid and is read a few block rows at a time.
         dark_centre = RgbImage(_dark_centre_pixels(6, 512, 512, 18))
         for img in (random_image(np.random.default_rng(5), 512, 512), dark_centre):
             _, peak = traced_peak(select_blocks, img)
             assert peak <= 0.4 * 512 * 512 * 8
 
+    def test_a_grown_window_stays_small_at_2048_px(self):
+        # The dark centre's 201x201 blocks hold no candidate, so the window
+        # grows to the whole 256x256 grid; it is read 8 rows at a time.
+        img = RgbImage(_dark_centre_pixels(6, 2048, 2048, 100))
+        _, peak = traced_peak(select_blocks, img)
+        assert peak <= 2 * 2**20
+
     def test_leaves_nothing_for_the_cycle_collector(self):
         # With the cycle collector off, a reference cycle in selection would
-        # keep each call's strip buffer (about 200 KiB at 512 px) alive.
+        # keep each call's buffers (a few hundred KiB at 512 px) alive.
         img = corpus_image("smooth_blobs")
         select_blocks(img)
         was_enabled, was_tracing = gc.isenabled(), tracemalloc.is_tracing()
@@ -312,13 +319,13 @@ class TestSelectBlocks:
     def test_corpus_takes_block_means_of_the_first_window_only(self, corpus, monkeypatch):
         # The corpus's 16th candidate lies well inside the first window, so
         # selection takes the means of its 81 blocks, not of all 4096.
-        sizes = []
+        sizes, window_log_means = [], selection._window_log_means
 
-        def spy(logs, out):
-            sizes.append(out.size)
-            _block_log_means(logs, out)
+        def spy(img, cols, rows):
+            sizes.append(len(cols) * len(rows))
+            return window_log_means(img, cols, rows)
 
-        monkeypatch.setattr(selection, "_block_log_means", spy)
+        monkeypatch.setattr(selection, "_window_log_means", spy)
         for name, img in corpus.items():
             sizes.clear()
             select_blocks(img)

@@ -1,10 +1,11 @@
 """The whole-image passes give the same bytes at any strip height.
 
-``selection``, ``attacks`` and ``metrics`` walk images in strips of
-``STRIP_ROWS`` rows. The block means, the image's mean log, the plan and
-the attacked images must not depend on the strip height, so that any partition
-of the strips gives the same output. ``psnr`` adds one float sum per strip,
-so its sum regroups with the height: it agrees to within a few ulp only.
+``attacks`` and ``metrics`` walk images in strips of ``STRIP_ROWS`` rows,
+and ``selection`` reads at most ``_LEAF`` pixels at a time. The block means,
+the image's mean log, the plan and the attacked images must not depend on
+either, so that any partition of the image gives the same output. ``psnr``
+adds one float sum per strip, so its sum regroups with the height: it agrees
+to within a few ulp only.
 """
 
 import sys
@@ -60,7 +61,7 @@ def at_default_height():
 
 @pytest.mark.parametrize("strip_rows", [8, 16, 24, 64, 256])
 def test_same_bytes_at_any_strip_height(monkeypatch, at_default_height, strip_rows):
-    for module in (selection, attacks, metrics):
+    for module in (attacks, metrics):
         monkeypatch.setattr(module, "STRIP_ROWS", strip_rows)
     for img, (block_means, image_log_mean, plan, attacked, psnrs) in at_default_height:
         got_means, got_mean, got_plan, got_attacked, got_psnrs = _passes(img)
@@ -71,11 +72,11 @@ def test_same_bytes_at_any_strip_height(monkeypatch, at_default_height, strip_ro
         assert got_psnrs == pytest.approx(psnrs, rel=4 * sys.float_info.epsilon, abs=0)
 
 
-@pytest.mark.parametrize("cast_pixels", [1, 100, 1000])
-def test_same_log_stats_at_any_y_product_height(monkeypatch, at_default_height, cast_pixels):
-    # Selection takes each strip's Y product a few rows at a time: 1-12 rows
-    # at these widths, where the default takes the whole strip at once.
-    monkeypatch.setattr(selection, "_CAST_PIXELS", cast_pixels)
+@pytest.mark.parametrize("leaf", [128, 1000, 8192, 1 + max(w * h for w, h in SIZES)])
+def test_same_log_stats_at_any_y_product_height(monkeypatch, at_default_height, leaf):
+    # Selection takes the Y product of one pairwise leaf, or of as many block
+    # rows as fit in one, at a time: from part of a row up to the whole image.
+    monkeypatch.setattr(selection, "_LEAF", leaf)
     for img, (block_means, image_log_mean, plan, _, _) in at_default_height:
         got_means, got_mean = _log_stats(img)
         assert np.array_equal(got_means, block_means)
