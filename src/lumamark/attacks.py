@@ -3,40 +3,28 @@
 The compression attack is a JPEG-style quantization pipeline, not a JPEG
 codec: every full 8x8 block of every Y/Cb/Cr plane is DCT-transformed,
 quantized against the standard luminance table scaled by the quality
-setting, and transformed back. Unlike a real encoder it is deterministic,
-but the blocks near a rounding tie get whatever bytes scipy's FFT and the
-BLAS kernel behind the 3x3 colour products round to, and no test shows that
-rounding to be the same on every platform (OpenBLAS's pre-FMA kernel changes
-some).
+setting, and transformed back.
 
-Its bytes are those of the exact path, ``_exact_blocks``: the colour
-matrices, scipy's FFT ``dctn``/``idctn`` and ``round_half_away``. The attack
-gets them faster, a strip of whole block rows at a time, from matrix
-arithmetic: one 3x3 product per colour conversion and two products with the
-8x8 DCT matrix per transform. The two paths differ by rounding noise under
-``_ERROR_BOUND``, derived from the values' magnitudes and the operation
+Its bytes are those of the exact path, ``_exact_blocks``: dot products with
+the colour matrices and the DCT matrix summed in index order, division by the
+steps and ``round_half_away``. A numpy ufunc does one IEEE-754 operation per
+element and fuses none, so the bytes follow from double arithmetic alone, on
+any BLAS kernel or CPU. The attack gets them faster, a strip of whole block
+rows at a time, from matrix products. The two paths differ by rounding noise
+under ``_ERROR_BOUND``, derived from the values' magnitudes and the operation
 counts. Noise can change a byte only through a value that gets rounded: a
 coefficient over its step, or a pre-rounding RGB value. So every block with
 such a value within ``_EPS`` (a margin over the bound) of a half-integer is
 recomputed by the exact path, and no other block can round differently from
 it: a filter with an exact fallback, as in Shewchuk's robust geometric
-predicates (1997). The fast path rounds halves to even (``np.rint``, one pass
-instead of three); an exact half is always flagged, so the exact path still
-rounds it away from zero.
+predicates (1997).
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .colorspace import (
-    RGB_TO_YCC,
-    STRIP_ROWS,
-    YCC_TO_RGB,
-    pixels_to_ycc,
-    round_half_away,
-    ycc_to_pixels,
-)
+from .colorspace import RGB_TO_YCC, STRIP_ROWS, YCC_TO_RGB, round_half_away
 from .errors import RectOutOfBounds
 from .pixmap import RgbImage
 from .selection import BLOCK_SIZE
@@ -103,10 +91,9 @@ def quant_steps(quality: float) -> np.ndarray:
     return np.maximum(1.0, scale * LUMA_QUANT_TABLE)
 
 
-# The orthonormal 8-point DCT-II as a matrix, row k the k-th basis vector:
-# _DCT @ x is dct(x, norm="ortho"). The literals are the FFT's entries (a test
-# checks each bit), within 1.1 ulp of the true cosines; np.cos of the rounded
-# angles errs by up to 16.
+# The orthonormal 8-point DCT-II as a matrix, row k the k-th basis vector. Its
+# literals are scipy's dct(np.eye(8), norm="ortho"), as a test checks, within
+# 1.1 ulp of the true cosines; np.cos of the rounded angles errs by up to 16.
 _DCT = np.array(
     [
         [0.3535533905932738, 0.3535533905932738, 0.3535533905932738, 0.3535533905932738,
@@ -134,24 +121,24 @@ _DCT = np.array(
 # - Input: |Y|, |Cb|, |Cr| <= 1.192 * 255 = 304, the largest row sum of
 #   |RGB_TO_YCC| times 255, so a block's norm is at most 8 * 304 = 2432,
 #   the largest DC term. Each colour product errs by at most 3u * 304.
-# - One 8-point pass errs by at most 32u times its input's norm on either
-#   path. The matrix product: 8u * sqrt(8) for dot products of 8 terms with
-#   unit rows, plus 8u for the entries of _DCT, each within 1.1 ulp. The
-#   FFT: Higham's bound for a radix-2 FFT of length up to 16, 4 * 6.7u
-#   (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2).
-# - Quotients: 2 paths x 2 passes x 32u x 2432, plus the colour error
+# - One 8-point pass errs by at most 8u * sqrt(8) < 23u times its input's
+#   norm on either path: both take dot products with the unit rows of _DCT
+#   or _DCT.T, and one of n terms, in any order, fused or not, errs by at
+#   most nu times the sum of their magnitudes (Higham, Accuracy and
+#   Stability of Numerical Algorithms, 2nd ed., Sec. 3.1).
+# - Quotients: 2 paths x 2 passes x 23u x 2432, plus the colour error
 #   2 x 8 x 3u x 304, over a step >= 1, plus the exact path's division (u)
 #   and the fast path's reciprocal and product (2u) on a quotient <= 2432:
-#   3.7e-11.
+#   2.8e-11.
 # - RGB: both paths start from the same rounded coefficients, whose block
 #   norm is at most 2432 + |steps / 2| <= 2432 + 1.01 |LUMA_QUANT_TABLE| =
-#   2974. So each plane errs by at most 2 x 2 x 32u x 2974 = 4.2e-11; the
+#   2974. So each plane errs by at most 2 x 2 x 23u x 2974 = 3.1e-11; the
 #   largest row sum of |YCC_TO_RGB|, 3.813, carries that into RGB, and the
-#   colour products add 2 x 3u x 3.813 x 2974: 1.7e-10.
-_ERROR_BOUND = 1.7e-10
+#   colour products add 2 x 3u x 3.813 x 2974: 1.3e-10.
+_ERROR_BOUND = 1.3e-10
 # Unless a fast value lies within _EPS of a half-integer, no half-integer
 # lies between it and the exact value, so both round alike. _EPS is about
-# six times the bound (the measured |fast - exact| is under 1e-12).
+# eight times the bound (the measured |fast - exact| is under 1e-12).
 _EPS = 1e-9
 
 
@@ -241,18 +228,27 @@ def _round_flagging_ties(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rounded, np.flatnonzero(np.abs(x, out=x) > 0.5 - _EPS)
 
 
+def _fixed_dot(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """``m @ x`` along ``axis`` of x, each output the sum of ``m[i, j] * x[j]``
+    in index order: one product or sum per ufunc element, no BLAS. The
+    terms are laid out in C order, so that each one is contiguous."""
+    x = x.swapaxes(0, axis)
+    terms = np.multiply(m.T[:, :, np.newaxis], x.reshape(m.shape[1], 1, -1), order="C")
+    out = terms[0] + terms[1]
+    for term in terms[2:]:
+        out += term
+    return out.reshape(m.shape[0], *x.shape[1:]).swapaxes(0, axis)
+
+
 def _exact_blocks(blocks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The arithmetic that defines the attack's bytes, on (n, 8, 8, 3) uint8
-    blocks: the colour matrices, FFT ``dctn``/``idctn`` and
-    ``round_half_away``."""
-    from scipy.fft import dctn, idctn  # here, so that only a tie block loads scipy
-
-    ycc = pixels_to_ycc(blocks)
-    coeffs = dctn(ycc, type=2, norm="ortho", axes=(1, 2))
-    coeffs /= steps[:, :, np.newaxis]
-    coeffs = round_half_away(coeffs)
-    coeffs *= steps[:, :, np.newaxis]
-    return ycc_to_pixels(idctn(coeffs, type=2, norm="ortho", axes=(1, 2)))
+    blocks: ``_fixed_dot``, division by the steps and ``round_half_away``."""
+    ycc = _fixed_dot(RGB_TO_YCC, blocks.astype(np.float64), 3)
+    coeffs = _fixed_dot(_DCT, _fixed_dot(_DCT, ycc, 1), 2)
+    coeffs = round_half_away(coeffs / steps[..., np.newaxis]) * steps[..., np.newaxis]
+    ycc = _fixed_dot(_DCT.T, _fixed_dot(_DCT.T, coeffs, 1), 2)
+    rgb = round_half_away(_fixed_dot(YCC_TO_RGB, ycc, 3))
+    return np.clip(rgb, 0, 255, out=rgb).astype(np.uint8)
 
 
 def center_keep_rect(width: int, height: int) -> CropRect:

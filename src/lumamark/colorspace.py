@@ -2,7 +2,7 @@
 
 The transform pair is YIQ-style: Y carries luminance with weights
 (0.299, 0.587, 0.114) and the two chroma planes are zero on gray pixels.
-Selection and PSNR take Y alone as ``pixels @ RGB_TO_YCC[0]``, which agrees
+Selection takes Y alone as ``pixels @ RGB_TO_YCC[0]``, which agrees
 with the Y of ``pixels_to_ycc`` to within a few ulp, not bit for bit.
 Forward conversion keeps full real precision (no rounding, no clamping);
 only the reconstruction back to 8-bit RGB quantizes. The pair is close

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .colorspace import RGB_TO_YCC, STRIP_ROWS
+from .colorspace import STRIP_ROWS
 from .errors import DimensionMismatch
 from .pixmap import RgbImage, WatermarkBitmap, WATERMARK_BITS
 
@@ -19,11 +19,9 @@ def psnr(reference: RgbImage, test: RgbImage) -> float:
             f"reference is {reference.width}x{reference.height}, "
             f"test is {test.width}x{test.height}"
         )
-    # Y is linear, so the luminance of the channel difference is
-    # Y_ref - Y_test, antisymmetric to the last bit. Row strips keep the
-    # int16 difference and its Y in cache. A strip whose pixels are equal
-    # would add exactly 0.0, so it is skipped.
-    ssd = 0.0
+    # Y is linear: Y of the channel difference is Y_ref - Y_test. Strips keep
+    # the int16 difference in cache; a strip of equal pixels adds 0, skipped.
+    ssd = 0
     for top in range(0, reference.height, STRIP_ROWS):
         rows = slice(top, top + STRIP_ROWS)
         ref_rows, test_rows = reference.pixels[rows], test.pixels[rows]
@@ -34,20 +32,26 @@ def psnr(reference: RgbImage, test: RgbImage) -> float:
 
 def carrier_psnr(original: np.ndarray, marked: np.ndarray, pixel_count: int) -> float:
     """``psnr`` of an image of ``pixel_count`` pixels and a copy that differs
-    only at these (n, 3) uint8 carriers. It sums ``psnr``'s Y differences in
-    another order, so it agrees to within a few ulp, not bit for bit."""
+    only at these (n, 3) uint8 carriers, bit for bit: both sum one integer."""
     return _db(_ssd(original, marked), pixel_count)
 
 
-def _ssd(a: np.ndarray, b: np.ndarray) -> float:
-    """The sum of squared Y differences of two uint8 channel arrays."""
-    dy = np.subtract(a, b, dtype=np.int16) @ RGB_TO_YCC[0]
-    return float(np.square(dy, out=dy).sum())
+# 1000 dY, its square and a float sum of up to _EXACT_TERMS squares are integers
+# below 2**53, exact in any order on any BLAS kernel; longer sums go via int64.
+_Y1000 = np.array([299.0, 587.0, 114.0])
+_EXACT_TERMS = 2**53 // 255_000**2
 
 
-def _db(ssd: float, pixel_count: int) -> float:
-    """10*log10(255^2 * N / ssd); +inf for an ssd of zero."""
-    return 10.0 * math.log10(255.0**2 * pixel_count / ssd) if ssd else math.inf
+def _ssd(a: np.ndarray, b: np.ndarray) -> int:
+    """The sum of squared 1000 Y differences of two uint8 channel arrays."""
+    dy = np.subtract(a, b, dtype=np.int16) @ _Y1000
+    dy = np.square(dy, out=dy)
+    return int(dy.sum() if dy.size <= _EXACT_TERMS else dy.astype(np.int64).sum())
+
+
+def _db(ssd: int, pixel_count: int) -> float:
+    """10*log10(255^2 * N / sum(dY^2)) of ssd = sum((1000 dY)^2); +inf for 0."""
+    return 10.0 * math.log10(65025 * 10**6 * pixel_count / ssd) if ssd else math.inf
 
 
 def similarity(reference: WatermarkBitmap, extracted: WatermarkBitmap) -> float:

@@ -13,26 +13,31 @@ takes the luminance of the channel difference strip by strip and skips
 equal strips. The dense log-statistics oracle takes the log of a
 whole Y plane and numpy's means of it, where the library streams strips.
 The dense compression oracle converts whole images and transforms each
-plane on its own, where the library fuses the three planes per row strip.
+plane's blocks with explicit loops over the matrix rows, in the library's
+fixed order, where the library takes matrix products per row strip and
+recomputes blocks near a rounding tie.
 """
 
+import ctypes
+import hashlib
 import math
 import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dctn, idctn
-
-from lumamark.attacks import quant_steps
-from lumamark.codec import DEFAULT_ALPHA, embedded_pixel_coords
+from lumamark.attacks import _DCT, compress_attack, quant_steps
+from lumamark.codec import DEFAULT_ALPHA, embed, embedded_pixel_coords
 from lumamark.colorspace import (
+    RGB_TO_YCC,
+    YCC_TO_RGB,
     YcbcrImage,
     pixels_to_ycc,
     rgb_to_ycbcr,
     ycbcr_to_rgb,
     ycc_to_pixels,
 )
+from lumamark.metrics import psnr
 from lumamark.pixmap import RgbImage, WatermarkBitmap
 from lumamark.selection import (
     BLOCK_SIZE,
@@ -42,6 +47,7 @@ from lumamark.selection import (
     SelectionPlan,
     select_blocks,
 )
+from lumamark.testimages import CORPUS_NAMES, corpus_image, random_watermark
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +75,35 @@ def traced_peak(fn, *args):
         if not was_tracing:
             tracemalloc.stop()
     return result, peak
+
+
+def openblas_corename() -> str | None:
+    """The name of the kernel numpy's bundled OpenBLAS runs in this process
+    (``OPENBLAS_CORETYPE`` picks it), or None where numpy bundles none."""
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def attack_probe() -> dict[str, str | None]:
+    """This process's OpenBLAS kernel, and what it computes on each corpus
+    image marked with two random watermarks: the sha256 of
+    ``compress_attack``'s pixels at qualities 1.0, 0.9, 0.75 and 0.5, and the
+    repr of their ``psnr`` against the original."""
+    probe = {"corename": openblas_corename()}
+    for name in CORPUS_NAMES:
+        img = corpus_image(name)
+        for seed in range(2):
+            marked = embed(img, random_watermark(seed))
+            for quality in (1.0, 0.9, 0.75, 0.5):
+                attacked = compress_attack(marked, quality)
+                digest = hashlib.sha256(attacked.pixels.tobytes()).hexdigest()
+                probe[f"{name}/{seed}/{quality}"] = f"{digest} {psnr(img, attacked)!r}"
+    return probe
 
 
 def gray_image(value: int, width: int = 512, height: int = 512) -> RgbImage:
@@ -272,30 +307,45 @@ def dense_psnr(reference: RgbImage, test: RgbImage) -> float:
     return 10.0 * math.log10(255.0**2 * n / ssd)
 
 
-def _dense_quantize_plane(plane: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    rows = (plane.shape[0] // BLOCK_SIZE) * BLOCK_SIZE
-    cols = (plane.shape[1] // BLOCK_SIZE) * BLOCK_SIZE
-    if rows == 0 or cols == 0:
-        return plane.copy()
-    blocks = (
-        plane[:rows, :cols]
-        .reshape(rows // BLOCK_SIZE, BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE)
-        .transpose(0, 2, 1, 3)
-    )
-    coeffs = dctn(blocks, type=2, norm="ortho", axes=(2, 3)) / steps
-    coeffs = np.trunc(coeffs + np.copysign(0.5, coeffs)) * steps
-    restored = idctn(coeffs, type=2, norm="ortho", axes=(2, 3))
-    out = plane.copy()
-    out[:rows, :cols] = restored.transpose(0, 2, 1, 3).reshape(rows, cols)
-    return out
+def _fixed_order_dot(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x over the first axis of x, one output row at a time, each summed
+    term by term in index order."""
+    rows = []
+    for weights in m:
+        acc = weights[0] * x[0]
+        for weight, term in zip(weights[1:], x[1:]):
+            acc = acc + weight * term
+        rows.append(acc)
+    return np.stack(rows)
+
+
+def _fixed_order_dct(m: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """m applied to both axes of every block of (3, h/8, 8, w/8, 8) planes:
+    down each block's columns, then along its rows."""
+    down = np.moveaxis(_fixed_order_dot(m, np.moveaxis(blocks, 2, 0)), 0, 2)
+    return np.moveaxis(_fixed_order_dot(m, np.moveaxis(down, 4, 0)), 0, 4)
+
+
+def dense_compress_stages(img: RgbImage, quality: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference compression of the whole image, up to the last rounding:
+    every full block's DCT coefficients over their steps, as
+    (3, h/8, 8, w/8, 8), and the (h, w, 3) RGB rebuilt from those quotients
+    rounded half away from zero (by its own formula) times the steps.
+    Remainder pixels go through the colour round trip unchanged."""
+    steps = quant_steps(quality)[:, np.newaxis]
+    rows = (img.height // BLOCK_SIZE) * BLOCK_SIZE
+    cols = (img.width // BLOCK_SIZE) * BLOCK_SIZE
+    ycc = _fixed_order_dot(RGB_TO_YCC, np.moveaxis(img.pixels.astype(np.float64), -1, 0))
+    blocks = ycc[:, :rows, :cols].reshape(3, rows // BLOCK_SIZE, BLOCK_SIZE, cols // BLOCK_SIZE, BLOCK_SIZE)
+    quotients = _fixed_order_dct(_DCT, blocks) / steps
+    coeffs = np.trunc(quotients + np.copysign(0.5, quotients)) * steps
+    ycc[:, :rows, :cols] = _fixed_order_dct(_DCT.T, coeffs).reshape(3, rows, cols)
+    return quotients, np.moveaxis(_fixed_order_dot(YCC_TO_RGB, ycc), 0, -1)
 
 
 def dense_compress_attack(img: RgbImage, quality: float) -> RgbImage:
-    """Reference compression: convert the whole image, DCT-quantize each
-    plane's full 8x8 blocks separately (rounding halves away from zero with
-    its own two-temporary formula), rebuild every pixel from YCbCr
-    (remainder pixels go through the colour round trip unchanged)."""
-    ycc = rgb_to_ycbcr(img)
-    steps = quant_steps(quality)
-    planes = [_dense_quantize_plane(p, steps) for p in (ycc.y, ycc.cb, ycc.cr)]
-    return ycbcr_to_rgb(YcbcrImage(*planes))
+    """Reference compression: ``dense_compress_stages``' RGB rounded half
+    away from zero and clamped, every pixel rebuilt."""
+    rgb = dense_compress_stages(img, quality)[1]
+    rgb = np.trunc(rgb + np.copysign(0.5, rgb))
+    return RgbImage(np.clip(rgb, 0, 255).astype(np.uint8))

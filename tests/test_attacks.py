@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,16 @@ from lumamark.errors import RectOutOfBounds
 from lumamark.metrics import psnr
 from lumamark.pixmap import RgbImage
 
-from support import dense_compress_attack, gray_image, random_image, traced_peak
+from support import (
+    ROOT,
+    attack_probe,
+    dense_compress_attack,
+    dense_compress_stages,
+    gray_image,
+    random_image,
+    subprocess_env,
+    traced_peak,
+)
 
 QUALITY_LADDER = (1.0, 0.9, 0.75, 0.5, 0.25)
 PAYLOAD_512 = 512 * 512 * 3  # bytes of one 512x512 image's pixels
@@ -253,41 +267,78 @@ class TestCompressErrorBound:
     strip layout that eats the margin fails here, not as a rare byte flip."""
 
     @staticmethod
-    def max_errors(img, quality):
-        """max |fast - exact| over the quotients, and over the pre-rounding
-        RGB rebuilt from the same rounded coefficients."""
-        steps = quant_steps(quality)
+    def max_errors(img, quality, stages):
+        """max |stages - exact| over the quotients, and over the pre-rounding
+        RGB rebuilt from the same rounded coefficients, on the image's full
+        blocks. ``stages(pixels, steps, coeffs)`` gives the quotients as
+        (3, h/8, 8, w/8, 8) and the RGB as (h, w, 3)."""
         rows, cols = img.height // 8 * 8, img.width // 8 * 8
         pixels = img.pixels[:rows, :cols]
-        ycc = pixels_to_ycc(pixels).reshape(rows // 8, 8, cols // 8, 8, 3)
-        block_steps = steps[:, np.newaxis, :, np.newaxis]
-        exact_q = dctn(ycc, type=2, norm="ortho", axes=(1, 3)) / block_steps
-        coeffs = round_half_away(exact_q) * block_steps
-        exact_ycc = idctn(coeffs, type=2, norm="ortho", axes=(1, 3)).reshape(rows, cols, 3)
-        exact_rgb = exact_ycc @ YCC_TO_RGB.T
+        exact_q, exact_rgb = dense_compress_stages(RgbImage(pixels), quality)
+        steps = quant_steps(quality)[:, np.newaxis]
+        q, rgb = stages(pixels, steps, round_half_away(exact_q) * steps)
+        return float(np.abs(q - exact_q).max()), float(np.abs(rgb - exact_rgb).max())
 
-        fast_q = attacks._fast_quotients(pixels, np.tile(steps, cols // 8))
-        planes_first = coeffs.transpose(4, 0, 1, 2, 3).reshape(fast_q.shape)
-        fast_rgb = attacks._fast_rgb(planes_first.copy())
-        fast_q = fast_q.reshape(3, rows // 8, 8, cols // 8, 8).transpose(1, 2, 3, 4, 0)
-        return float(np.abs(fast_q - exact_q).max()), float(np.abs(fast_rgb - exact_rgb).max())
+    @staticmethod
+    def matrix_stages(pixels, steps, coeffs):
+        row_steps = np.tile(steps[:, 0], pixels.shape[1] // 8)
+        q = attacks._fast_quotients(pixels, row_steps)
+        return q.reshape(coeffs.shape), attacks._fast_rgb(coeffs.reshape(q.shape))
 
-    def test_bound_holds_with_margin(self, corpus):
+    @staticmethod
+    def fft_stages(pixels, steps, coeffs):
+        rows, cols = pixels.shape[:2]
+        ycc = pixels_to_ycc(pixels).transpose(2, 0, 1).reshape(coeffs.shape)
+        q = dctn(ycc, type=2, norm="ortho", axes=(2, 4)) / steps
+        ycc = idctn(coeffs, type=2, norm="ortho", axes=(2, 4)).reshape(3, rows, cols)
+        return q, np.moveaxis(ycc, 0, -1) @ YCC_TO_RGB.T
+
+    @staticmethod
+    def images(corpus):
         rng = np.random.default_rng(11)
         images = [*corpus.values(), random_image(rng, 200, 136)]
         extremes = np.array([0, 1, 254, 255], dtype=np.uint8)[rng.integers(0, 4, (96, 96, 3))]
-        images.append(RgbImage(extremes))
-        for img in images:
+        return [*images, RgbImage(extremes)]
+
+    def test_bound_holds_with_margin(self, corpus):
+        for img in self.images(corpus):
             for quality in (1.0, 0.5, 0.001):
-                errors = self.max_errors(img, quality)
+                errors = self.max_errors(img, quality, self.matrix_stages)
                 assert max(errors) < attacks._ERROR_BOUND, (img, quality, errors)
         assert attacks._ERROR_BOUND < attacks._EPS
 
+    def test_scipy_fft_agrees_within_the_bound(self, corpus):
+        # The fixed order computes scipy's orthonormal DCT-II, not some
+        # other transform: its dctn/idctn give the same values to within the
+        # bound, though a value at a tie may round the other way.
+        for img in self.images(corpus):
+            for quality in (1.0, 0.5, 0.001):
+                errors = self.max_errors(img, quality, self.fft_stages)
+                assert max(errors) < attacks._ERROR_BOUND, (img, quality, errors)
+
     def test_dct_literals_are_the_ffts_matrix_bit_for_bit(self):
-        # The bound above takes _DCT's entries to be the FFT's.
+        # _DCT's literals are scipy's orthonormal DCT-II matrix, to the bit.
         expected = dct(np.eye(8), norm="ortho", axis=0)
         assert attacks._DCT.dtype == expected.dtype and attacks._DCT.shape == expected.shape
         assert attacks._DCT.tobytes() == expected.tobytes()
+
+
+class TestSameBytesOnAnotherBlasKernel:
+    """The attack's bytes and psnr's reprs follow from IEEE arithmetic alone,
+    so a process on OpenBLAS's pre-FMA Prescott kernel computes the same."""
+
+    def test_prescott_kernel_gives_the_same_bytes_and_reprs(self):
+        env = subprocess_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "tests"), env["PYTHONPATH"]])
+        env["OPENBLAS_CORETYPE"] = "Prescott"
+        code = "import json, support; print(json.dumps(support.attack_probe()))"
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True)
+        there, here = json.loads(child.stdout), attack_probe()
+        if there["corename"] in (None, here["corename"]):
+            pytest.skip(f"OPENBLAS_CORETYPE=Prescott picks no other OpenBLAS kernel here "
+                        f"(in-process {here['corename']}, child {there['corename']})")
+        assert {**there, "corename": None} == {**here, "corename": None}
 
 
 class TestCopyBudgets:

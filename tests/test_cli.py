@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lumamark import cli, codec, errors, metrics, pixmap
+from lumamark import attacks, cli, codec, errors, metrics, pixmap
 from lumamark.cli import main
 from lumamark.pixmap import (
     WatermarkBitmap,
@@ -554,17 +554,47 @@ class TestReportCommand:
 
 
 class TestConsoleEntry:
-    @pytest.mark.parametrize("argv", [["-c", "import lumamark"], ["-m", "lumamark", "--help"]],
-                             ids=["import", "help"])
-    def test_scipy_fft_stays_unimported(self, argv):
+    @staticmethod
+    def argv(name, corpus_dir, tmp_path):
+        """A python command line: import lumamark, or run a lumamark command.
+        The attack takes the exact path, as the test on fine_texture checks."""
+        image = str(corpus_dir / "fine_texture.ppm")
+        return {
+            "import": ["-c", "import lumamark"],
+            "help": ["-m", "lumamark", "--help"],
+            "attack": ["-m", "lumamark", "attack", image, str(tmp_path / "out.ppm"),
+                       "--compress-quality", "1.0"],
+            "report": ["-m", "lumamark", "report", image, str(corpus_dir / "logo.pbm")],
+        }[name]
+
+    @pytest.mark.parametrize("name", ["import", "help", "attack", "report"])
+    def test_scipy_fft_stays_unimported(self, name, corpus_dir, tmp_path):
         # -X importtime lists every module the process imports, by name.
-        result = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                                env=subprocess_env(), capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", *self.argv(name, corpus_dir, tmp_path)],
+            env=subprocess_env(), capture_output=True, text=True)
         assert result.returncode == 0
         imported = {line.rsplit("|", 1)[-1].strip()
                     for line in result.stderr.splitlines() if line.startswith("import time:")}
         assert {"numpy", "lumamark.attacks", "lumamark.cli"} <= imported
-        assert "scipy.fft" not in imported
+        assert not {m for m in imported if m.split(".")[0] == "scipy"}
+
+    @pytest.mark.parametrize("name", ["attack", "report"])
+    def test_commands_run_where_scipy_cannot_be_imported(self, name, corpus_dir, tmp_path):
+        # A None entry in sys.modules makes every import of scipy raise.
+        code = ("import sys; sys.modules['scipy'] = None; from lumamark.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        argv = self.argv(name, corpus_dir, tmp_path)[2:]
+        result = subprocess.run([sys.executable, "-c", code, *argv],
+                                env=subprocess_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_fine_texture_at_quality_one_takes_the_exact_path(self, corpus, monkeypatch):
+        exact, tied = attacks._exact_blocks, []
+        monkeypatch.setattr(attacks, "_exact_blocks",
+                            lambda blocks, steps: tied.append(len(blocks)) or exact(blocks, steps))
+        attacks.compress_attack(corpus["fine_texture"], 1.0)
+        assert tied
 
     def test_module_invocation_smoke(self, paths, tmp_path):
         out = tmp_path / "m.ppm"

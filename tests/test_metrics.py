@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumamark import codec
+from lumamark import codec, metrics
 from lumamark.attacks import compress_attack
-from lumamark.cli import _fmt
 from lumamark.errors import DimensionMismatch
 from lumamark.metrics import carrier_psnr, decide, psnr, similarity
 from lumamark.pixmap import RgbImage, WatermarkBitmap
@@ -97,6 +96,19 @@ class TestPsnr:
         assert psnr(a, b) == psnr(b, a)
         assert psnr(a, RgbImage(a.pixels)) == math.inf
 
+    def test_strip_wider_than_an_exact_float_sum_sums_exactly(self):
+        # One 32-row strip of 4400 px holds more squares of 1000 dY than a
+        # float sum keeps exact: this one passes 2**53, and a float sum of
+        # its squares is 1 short of the integer sum.
+        rng = np.random.default_rng(3)
+        a = np.full((32, 4400, 3), 255, dtype=np.uint8)
+        b = rng.integers(0, 2, size=a.shape, dtype=np.uint8)
+        dy = (a.astype(np.int64) - b) @ np.array([299, 587, 114])
+        want = int((dy * dy).sum())
+        assert want > 2**53
+        assert metrics._ssd(a, b) == want
+        assert psnr(RgbImage(a), RgbImage(b)) == 10 * math.log10(65025 * 10**6 * a.size // 3 / want)
+
 
 class TestCarrierPsnr:
     @pytest.mark.parametrize("alpha", [3, 60, 255], ids=["alpha3", "alpha60", "alpha255"])
@@ -111,8 +123,8 @@ class TestCarrierPsnr:
             marked = codec.embed(img, random_watermark(seed), alpha, plan=plan)
             want = psnr(img, marked)
             got = carrier_psnr(carriers, marked.pixels[ys, xs], img.width * img.height)
-            assert abs(got - want) <= 1e-15 * want
-            assert _fmt(got) == _fmt(want)
+            # Both sum the same exact integer, so they agree bit for bit.
+            assert repr(got) == repr(want)
 
     def test_unchanged_carriers_are_infinite(self, corpus):
         carriers = corpus["smooth_blobs"].pixels[:4, 0]

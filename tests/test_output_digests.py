@@ -1,15 +1,17 @@
 """Output bytes pinned by the digests of the benchmark's workloads.
 
 A workload's digest covers the outputs of its warm-up ops at seed 7:
-roundtrip_512's marked images and extracted watermarks, and
+roundtrip_512's marked images and extracted watermarks, attack_grid_512's
+attacked images, extracted watermarks, similarities and PSNR reprs, and
 cli_files_2048's marked files, plan files, extracted watermarks and
 stdout. A change to any of those bytes fails here, not only in a benchmark
 run. These tests only read bench/.
 
-attack_grid_512 is not pinned. Its compressed images pass through numpy's
-matrix products, whose last bits depend on the BLAS kernel: with
-OPENBLAS_CORETYPE=Prescott its digest is 1dd5af01..., not the 66e10e12...
-of the SkylakeX kernel, while the two pinned here hold under both.
+The attack grid's compressed bytes and PSNR reprs come from elementwise IEEE
+arithmetic and exact integer sums, not from a BLAS kernel's rounding. All
+three digests hold under OPENBLAS_CORETYPE=Prescott and without numpy's AVX2
+and AVX-512 loops, as CI checks. Selection's Y product and np.log can still
+round differently on another platform; the corpus plans hold on both.
 """
 
 import sys
@@ -24,6 +26,7 @@ import runner
 
 PINNED = {
     "roundtrip_512": "d5e03c242affa087b5973573bab27431b7768e70423cd47626ed9aab4ca38371",
+    "attack_grid_512": "22c064e5e7351efa2f2c67f35d128cf07999839ed6347832a2977c5d4cc144d1",
     "cli_files_2048": "a2f95c457365b4806c7263c5ab8a344b7ab304af544abd59cd324f90e4ca1fc6",
 }
 
